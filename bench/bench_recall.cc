@@ -106,8 +106,7 @@ SweepPoint RunSweepPoint(const NNCellIndex& index, const PointSet& queries,
   for (int rep = 0; rep < reps; ++rep) {
     auto t0 = std::chrono::steady_clock::now();
     for (size_t qi = 0; qi < queries.size(); ++qi) {
-      auto r = approx.enabled() ? index.Query(queries[qi], approx)
-                                : index.Query(queries[qi]);
+      auto r = index.Query(queries[qi], approx);
       NNCELL_CHECK(r.ok());
     }
     auto t1 = std::chrono::steady_clock::now();

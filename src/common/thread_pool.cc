@@ -120,4 +120,18 @@ void ThreadPool::ParallelFor(size_t begin, size_t end,
   while (group.remaining != 0) group.cv.Wait(group.mu);
 }
 
+Status FanOut(ThreadPool* pool, size_t n,
+              const std::function<Status(size_t)>& body) {
+  std::vector<Status> errors(n, Status::OK());
+  if (pool == nullptr || n <= 1) {
+    for (size_t i = 0; i < n; ++i) errors[i] = body(i);
+  } else {
+    pool->ParallelFor(0, n, [&](size_t i) { errors[i] = body(i); });
+  }
+  for (Status& st : errors) {
+    if (!st.ok()) return std::move(st);
+  }
+  return Status::OK();
+}
+
 }  // namespace nncell

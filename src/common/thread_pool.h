@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/status.h"
 #include "common/thread_annotations.h"
 
 namespace nncell {
@@ -69,6 +70,13 @@ class ThreadPool {
   CondVar wake_cv_;
   bool stop_ NNCELL_GUARDED_BY(wake_mu_) = false;
 };
+
+// Runs body(i) for every i in [0, n), also after a failure, and returns
+// the status of the lowest failing i, OK when none failed. The iterations
+// run on `pool` when it is non-null and n > 1 (each writing only its own
+// slot of any shared output); otherwise serially.
+Status FanOut(ThreadPool* pool, size_t n,
+              const std::function<Status(size_t)>& body);
 
 }  // namespace nncell
 

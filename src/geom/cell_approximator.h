@@ -50,6 +50,18 @@ struct ApproxStats {
   size_t skipped_faces = 0;    // faces certified by the ray-shoot (no LP)
   size_t warm_faces = 0;       // face solves warm-started at the ray hit
   size_t cold_faces = 0;       // face solves started cold
+
+  ApproxStats& operator+=(const ApproxStats& o) {
+    lp_runs += o.lp_runs;
+    lp_iterations += o.lp_iterations;
+    lp_failures += o.lp_failures;
+    constraint_rows += o.constraint_rows;
+    pruned_rows += o.pruned_rows;
+    skipped_faces += o.skipped_faces;
+    warm_faces += o.warm_faces;
+    cold_faces += o.cold_faces;
+    return *this;
+  }
 };
 
 // Computes MBR approximations of NN-cells by running 2d linear programs per

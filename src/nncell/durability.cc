@@ -41,18 +41,6 @@ struct DurabilityMetrics {
 }  // namespace
 
 Status NNCellIndex::LogInsert(const std::vector<double>& original) {
-  // Re-run the Insert preconditions: a record must never be appended for
-  // an operation the index would then reject (its replay would fail).
-  if (original.size() != dim_) {
-    return Status::InvalidArgument("dimension mismatch");
-  }
-  std::vector<double> point = ToMetricSpace(original.data());
-  if (!space_.ContainsPoint(point)) {
-    return Status::OutOfRange("point outside the data space [0,1]^d");
-  }
-  if (point_lookup_.find(point) != point_lookup_.end()) {
-    return Status::AlreadyExists("exact duplicate point");
-  }
   return wal_->Append(walrec::EncodeInsert(points_.size(), original));
 }
 

@@ -264,20 +264,30 @@ std::vector<double> NNCellIndex::OriginalPoint(uint64_t id) const {
   return FromMetricSpace(std::vector<double>(p, p + dim_));
 }
 
-StatusOr<uint64_t> NNCellIndex::RegisterPoint(
-    const std::vector<double>& original, bool insert_into_point_tree) {
+StatusOr<std::vector<double>> NNCellIndex::ValidateInsert(
+    const std::vector<double>& original) const {
   if (original.size() != dim_) {
     return Status::InvalidArgument("dimension mismatch");
+  }
+  for (double v : original) {
+    if (!std::isfinite(v)) {
+      return Status::InvalidArgument("non-finite coordinate");
+    }
   }
   std::vector<double> point = ToMetricSpace(original.data());
   if (!space_.ContainsPoint(point)) {
     return Status::OutOfRange("point outside the data space [0,1]^d");
   }
-  auto [it, inserted] = point_lookup_.emplace(point, points_.size());
-  if (!inserted) {
+  if (point_lookup_.find(point) != point_lookup_.end()) {
     return Status::AlreadyExists("exact duplicate point");
   }
-  uint64_t id = points_.Add(point);
+  return point;
+}
+
+uint64_t NNCellIndex::RegisterPoint(const std::vector<double>& point,
+                                    bool insert_into_point_tree) {
+  const uint64_t id = points_.Add(point);
+  point_lookup_.emplace(point, id);
   cell_rects_.emplace_back();
   alive_.push_back(true);
   ++live_count_;
@@ -288,16 +298,14 @@ StatusOr<uint64_t> NNCellIndex::RegisterPoint(
 }
 
 StatusOr<uint64_t> NNCellIndex::Insert(const std::vector<double>& original) {
-  if (original.size() != dim_) {
-    return Status::InvalidArgument("dimension mismatch");
-  }
-  // Durable mode: validate the operation, then log it before any mutation
-  // (write-ahead). A record is only ever appended for an insert that will
-  // succeed, so replay never hits a rejection.
+  StatusOr<std::vector<double>> validated = ValidateInsert(original);
+  if (!validated.ok()) return validated.status();
+  const std::vector<double>& point = *validated;
+  // Durable mode: log the validated operation before any mutation
+  // (write-ahead), so replay never hits a rejection.
   if (wal_ != nullptr) {
     NNCELL_RETURN_IF_ERROR(LogInsert(original));
   }
-  std::vector<double> point = ToMetricSpace(original.data());
   // 1. Find the cells the new point will shrink. Stale approximations
   // remain correct supersets of the shrunk cells, so maintenance is a
   // quality (overlap) concern, not a correctness one.
@@ -322,9 +330,7 @@ StatusOr<uint64_t> NNCellIndex::Insert(const std::vector<double>& original) {
   }
 
   // 2. Register the point and insert its cell approximation.
-  StatusOr<uint64_t> id_or = RegisterPoint(original, true);
-  if (!id_or.ok()) return id_or;
-  uint64_t id = *id_or;
+  const uint64_t id = RegisterPoint(point, true);
   std::vector<HyperRect> rects =
       ComputeCellRects(points_[id], id, &build_stats_.approx);
   for (const HyperRect& rect : rects) {
@@ -396,11 +402,11 @@ Status NNCellIndex::BulkBuild(const PointSet& pts) {
   std::vector<uint64_t> ids;
   ids.reserve(pts.size());
   for (size_t i = 0; i < pts.size(); ++i) {
-    StatusOr<uint64_t> id = RegisterPoint(pts.Get(i), !fresh);
-    if (id.ok()) {
-      ids.push_back(*id);
-    } else if (id.status().code() != StatusCode::kAlreadyExists) {
-      return id.status();
+    StatusOr<std::vector<double>> point = ValidateInsert(pts.Get(i));
+    if (point.ok()) {
+      ids.push_back(RegisterPoint(*point, !fresh));
+    } else if (point.status().code() != StatusCode::kAlreadyExists) {
+      return point.status();
     }
   }
   if (fresh) {
@@ -433,16 +439,7 @@ Status NNCellIndex::BulkBuild(const PointSet& pts) {
       computed[i] =
           ComputeCellRects(points_[ids[i]], ids[i], &worker_stats[i]);
     });
-    for (const ApproxStats& s : worker_stats) {
-      build_stats_.approx.lp_runs += s.lp_runs;
-      build_stats_.approx.lp_iterations += s.lp_iterations;
-      build_stats_.approx.lp_failures += s.lp_failures;
-      build_stats_.approx.constraint_rows += s.constraint_rows;
-      build_stats_.approx.pruned_rows += s.pruned_rows;
-      build_stats_.approx.skipped_faces += s.skipped_faces;
-      build_stats_.approx.warm_faces += s.warm_faces;
-      build_stats_.approx.cold_faces += s.cold_faces;
-    }
+    for (const ApproxStats& s : worker_stats) build_stats_.approx += s;
     for (size_t i = 0; i < ids.size(); ++i) {
       const uint64_t id = ids[i];
       for (const HyperRect& rect : computed[i]) {
@@ -504,8 +501,12 @@ void NNCellIndex::RecomputeCell(uint64_t id) {
 }
 
 StatusOr<NNCellIndex::QueryResult> NNCellIndex::Query(
-    const double* q_original) const {
-  return Query(q_original, nullptr);
+    const double* q_original, const ApproxOptions& approx) const {
+  if (!approx.enabled()) return Query(q_original, nullptr);
+  StatusOr<std::vector<QueryResult>> r =
+      ApproxTraversalQuery(q_original, 1, approx);
+  if (!r.ok()) return r.status();
+  return std::move(r->front());
 }
 
 StatusOr<NNCellIndex::QueryResult> NNCellIndex::Query(
@@ -639,45 +640,24 @@ StatusOr<NNCellIndex::QueryResult> NNCellIndex::Query(
   return result;
 }
 
-StatusOr<NNCellIndex::QueryResult> NNCellIndex::Query(
-    const std::vector<double>& q) const {
-  NNCELL_CHECK(q.size() == dim_);
-  return Query(q.data());
-}
-
 StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::QueryBatch(
-    const PointSet& queries) const {
+    const PointSet& queries, const ApproxOptions& approx) const {
   if (queries.dim() != dim_) {
     return Status::InvalidArgument("dimension mismatch");
   }
   if (live_count_ == 0) return Status::FailedPrecondition("index is empty");
 
-  const size_t n = queries.size();
-  std::vector<QueryResult> results(n);
-  if (thread_pool_ == nullptr || n <= 1) {
-    for (size_t i = 0; i < n; ++i) {
-      StatusOr<QueryResult> r = Query(queries[i]);
-      if (!r.ok()) return r.status();
-      results[i] = std::move(*r);
-    }
-    return results;
-  }
-
   // N concurrent readers over the shared (sharded) buffer pool. Every
   // result lands in its own slot, so the batch output is deterministic
-  // and identical to the serial loop above.
-  std::vector<Status> errors(n, Status::OK());
-  thread_pool_->ParallelFor(0, n, [&](size_t i) {
-    StatusOr<QueryResult> r = Query(queries[i]);
-    if (r.ok()) {
-      results[i] = std::move(*r);
-    } else {
-      errors[i] = r.status();
-    }
-  });
-  for (const Status& st : errors) {
-    if (!st.ok()) return st;
-  }
+  // and identical to a serial loop of Query() calls.
+  std::vector<QueryResult> results(queries.size());
+  NNCELL_RETURN_IF_ERROR(
+      FanOut(thread_pool_.get(), queries.size(), [&](size_t i) {
+        StatusOr<QueryResult> r = Query(queries[i], approx);
+        if (!r.ok()) return r.status();
+        results[i] = std::move(*r);
+        return Status::OK();
+      }));
   return results;
 }
 
@@ -728,69 +708,9 @@ StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::
   return results;
 }
 
-StatusOr<NNCellIndex::QueryResult> NNCellIndex::Query(
-    const double* q_original, const ApproxOptions& approx) const {
-  if (!approx.enabled()) return Query(q_original);
-  StatusOr<std::vector<QueryResult>> r =
-      ApproxTraversalQuery(q_original, 1, approx);
-  if (!r.ok()) return r.status();
-  return std::move(r->front());
-}
-
-StatusOr<NNCellIndex::QueryResult> NNCellIndex::Query(
-    const std::vector<double>& q, const ApproxOptions& approx) const {
-  NNCELL_CHECK(q.size() == dim_);
-  return Query(q.data(), approx);
-}
-
-StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::QueryBatch(
-    const PointSet& queries, const ApproxOptions& approx) const {
-  if (!approx.enabled()) return QueryBatch(queries);
-  if (queries.dim() != dim_) {
-    return Status::InvalidArgument("dimension mismatch");
-  }
-  if (live_count_ == 0) return Status::FailedPrecondition("index is empty");
-
-  const size_t n = queries.size();
-  std::vector<QueryResult> results(n);
-  if (thread_pool_ == nullptr || n <= 1) {
-    for (size_t i = 0; i < n; ++i) {
-      StatusOr<QueryResult> r = Query(queries[i], approx);
-      if (!r.ok()) return r.status();
-      results[i] = std::move(*r);
-    }
-    return results;
-  }
-  std::vector<Status> errors(n, Status::OK());
-  thread_pool_->ParallelFor(0, n, [&](size_t i) {
-    StatusOr<QueryResult> r = Query(queries[i], approx);
-    if (r.ok()) {
-      results[i] = std::move(*r);
-    } else {
-      errors[i] = r.status();
-    }
-  });
-  for (const Status& st : errors) {
-    if (!st.ok()) return st;
-  }
-  return results;
-}
-
 StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::KnnQuery(
     const double* q_original, size_t k, const ApproxOptions& approx) const {
-  if (!approx.enabled()) return KnnQuery(q_original, k);
-  return ApproxTraversalQuery(q_original, k, approx);
-}
-
-StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::KnnQuery(
-    const std::vector<double>& q, size_t k,
-    const ApproxOptions& approx) const {
-  NNCELL_CHECK(q.size() == dim_);
-  return KnnQuery(q.data(), k, approx);
-}
-
-StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::KnnQuery(
-    const double* q_original, size_t k) const {
+  if (approx.enabled()) return ApproxTraversalQuery(q_original, k, approx);
   if (live_count_ == 0) return Status::FailedPrecondition("index is empty");
   std::vector<double> q_vec = ToMetricSpace(q_original);
   const double* q = q_vec.data();
@@ -861,12 +781,6 @@ StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::KnnQuery(
     radius_sq *= 4.0;  // double the radius and retry
   }
   return Status::Internal("kNN radius search did not converge");
-}
-
-StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::KnnQuery(
-    const std::vector<double>& q, size_t k) const {
-  NNCELL_CHECK(q.size() == dim_);
-  return KnnQuery(q.data(), k);
 }
 
 StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::RangeSearch(

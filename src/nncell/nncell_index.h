@@ -17,6 +17,7 @@
 #include "geom/cell_approximator.h"
 #include "geom/decomposition.h"
 #include "nncell/query_trace.h"
+#include "nncell/search_index.h"
 #include "rstar/rtree_core.h"
 #include "storage/buffer_pool.h"
 
@@ -110,31 +111,28 @@ struct NNCellBuildStats {
 // by the data space) is approximated by one or more MBRs via linear
 // programming and stored in an X-tree; a NN query is then a point query on
 // that index followed by exact distance checks among the candidate owners.
-class NNCellIndex {
+class NNCellIndex final : public SearchIndex {
  public:
   // `pool` provides the paged storage for the underlying tree. The data
   // space is fixed to [0,1]^dim as in the paper.
   NNCellIndex(BufferPool* pool, size_t dim, NNCellOptions options);
-  ~NNCellIndex();
+  ~NNCellIndex() override;
 
-  NNCellIndex(const NNCellIndex&) = delete;
-  NNCellIndex& operator=(const NNCellIndex&) = delete;
-
-  size_t dim() const { return dim_; }
+  size_t dim() const override { return dim_; }
   // Number of live points.
-  size_t size() const { return live_count_; }
+  size_t size() const override { return live_count_; }
   // Internal point table in *metric-transformed* coordinates (identical to
   // the input coordinates unless options().weights is set). Includes
   // tombstoned points; check IsAlive().
   const PointSet& points() const { return points_; }
-  const NNCellOptions& options() const { return options_; }
+  const NNCellOptions& options() const override { return options_; }
   const NNCellBuildStats& build_stats() const { return build_stats_; }
 
   // Dynamically inserts a point (paper Fig. 3: candidate selection, 2d LP
   // runs, index insert, then maintenance of the cells the new point
   // shrinks). Exact duplicates are rejected (their NN-cell would be
   // degenerate).
-  StatusOr<uint64_t> Insert(const std::vector<double>& point);
+  StatusOr<uint64_t> Insert(const std::vector<double>& point) override;
 
   // Static index creation (the paper's precomputation): registers all
   // points first, then computes every approximation once against the full
@@ -146,7 +144,7 @@ class NNCellIndex {
   // approximation is recomputed (a superset of the true Voronoi
   // neighbors; the paper defers to Roos' dynamic Voronoi algorithms for
   // this case). Ids are stable; deleted ids are never reused.
-  Status Delete(uint64_t id);
+  Status Delete(uint64_t id) override;
 
   // Whether the id refers to a live point.
   bool IsAlive(uint64_t id) const {
@@ -159,29 +157,29 @@ class NNCellIndex {
   // round-trip a point through the public API.
   std::vector<double> OriginalPoint(uint64_t id) const;
 
-  struct QueryResult {
-    uint64_t id = 0;              // index of the nearest neighbor
-    double dist = 0.0;            // Euclidean distance
-    std::vector<double> point;    // its coordinates
-    size_t candidates = 0;        // candidate cells inspected
-    bool used_fallback = false;   // numeric edge case: fell back to scan
-    ApproxCertificate approx;     // default (exact) unless ApproxOptions
-                                  // requested the approximate tier
-  };
-
   // Nearest-neighbor query = point query on the approximation index plus
   // exact distance checks over the candidates (Lemma 2 guarantees the true
   // NN is always among them). Query is safe to call from any number of
   // threads concurrently as long as no thread mutates the index (Insert /
   // Delete / BulkBuild) at the same time.
-  StatusOr<QueryResult> Query(const double* q) const;
-  StatusOr<QueryResult> Query(const std::vector<double>& q) const;
+  //
+  // Approximate query tier (docs/APPROXIMATE.md): a default `approx`
+  // takes the exact path above. An enabled one (epsilon > 0 or a
+  // leaf-visit budget) answers from a certified / bounded-effort
+  // best-first traversal of the point X-tree, and the answer's
+  // certificate is populated: min(dist, approx.bound) lower-bounds the
+  // true NN distance, an untruncated search additionally guarantees
+  // dist <= (1+epsilon) * true distance, and a truncated search returns
+  // best-seen with approx.approximate == true.
+  StatusOr<QueryResult> Query(const double* q,
+                              const ApproxOptions& approx = {}) const override;
+  using SearchIndex::Query;
 
-  // Traced variant: when `trace` is non-null it is cleared and filled with
-  // the per-stage timeline of this one query (see query_trace.h). Same
-  // thread-safety as the untraced overloads; the buffer-pool read deltas in
-  // the trace are attributed pool-wide, so they are exact only when no
-  // other query runs concurrently.
+  // Traced variant of the exact query: when `trace` is non-null it is
+  // cleared and filled with the per-stage timeline of this one query (see
+  // query_trace.h). Same thread-safety as Query; the buffer-pool read
+  // deltas in the trace are attributed pool-wide, so they are exact only
+  // when no other query runs concurrently.
   StatusOr<QueryResult> Query(const double* q, QueryTrace* trace) const;
 
   // Batched nearest-neighbor search: answers every query and returns the
@@ -189,34 +187,13 @@ class NNCellIndex {
   // batch is fanned across the thread pool -- N concurrent readers over
   // the shared buffer pool; results are identical to a serial loop of
   // Query() calls. Several threads may call QueryBatch concurrently.
-  StatusOr<std::vector<QueryResult>> QueryBatch(const PointSet& queries) const;
-
-  // Approximate query tier (docs/APPROXIMATE.md): certified (1+epsilon)
-  // answers and bounded-effort search via best-first traversal of the
-  // point X-tree. Exactness contract: when !approx.enabled() (epsilon ==
-  // 0 and no budget) these dispatch to the exact overloads above and are
-  // bit-identical to them (ids, distances, candidates, metrics). When
-  // enabled, the answer's certificate is populated: min(dist, approx.bound)
-  // lower-bounds the true NN distance, an untruncated search additionally
-  // guarantees dist <= (1+epsilon) * true distance, and a truncated search
-  // returns best-seen with approx.approximate == true. Same thread-safety
-  // as the exact overloads.
-  StatusOr<QueryResult> Query(const double* q,
-                              const ApproxOptions& approx) const;
-  StatusOr<QueryResult> Query(const std::vector<double>& q,
-                              const ApproxOptions& approx) const;
   StatusOr<std::vector<QueryResult>> QueryBatch(
-      const PointSet& queries, const ApproxOptions& approx) const;
-  StatusOr<std::vector<QueryResult>> KnnQuery(
-      const double* q, size_t k, const ApproxOptions& approx) const;
-  StatusOr<std::vector<QueryResult>> KnnQuery(
-      const std::vector<double>& q, size_t k,
-      const ApproxOptions& approx) const;
+      const PointSet& queries, const ApproxOptions& approx = {}) const override;
 
   // Reconfigures the thread count for the parallel phases (e.g. after
   // Load, which restores with the serial default). Not thread-safe: call
   // only while no other thread uses the index.
-  void SetNumThreads(size_t num_threads);
+  void SetNumThreads(size_t num_threads) override;
 
   // Exact k-nearest-neighbor search -- the extension the paper names as
   // future work. Every point within distance r of q has a cell
@@ -225,11 +202,12 @@ class NNCellIndex {
   // covers k owners returns a superset of the true k-NN. The radius comes
   // from the point-query candidates and grows geometrically in the rare
   // case they contain fewer than k owners. Results are ascending by
-  // distance; returns min(k, size()) entries.
-  StatusOr<std::vector<QueryResult>> KnnQuery(const double* q,
-                                              size_t k) const;
-  StatusOr<std::vector<QueryResult>> KnnQuery(const std::vector<double>& q,
-                                              size_t k) const;
+  // distance; returns min(k, size()) entries. An enabled `approx` runs the
+  // approximate tier's traversal instead, as for Query.
+  StatusOr<std::vector<QueryResult>> KnnQuery(
+      const double* q, size_t k,
+      const ApproxOptions& approx = {}) const override;
+  using SearchIndex::KnnQuery;
 
   // Similarity range query: every live point within `radius` of q
   // (ascending by distance). Same covering argument as KnnQuery: each
@@ -252,14 +230,14 @@ class NNCellIndex {
   // The paper's quality measure: the expected number of approximations
   // containing a uniform query point (sum of MBR volumes over the data
   // space volume). 1.0 = perfect (no overlap).
-  double ExpectedCandidates() const;
+  double ExpectedCandidates() const override;
 
   // The current approximation rectangles of one point (>= 1 entries).
   const std::vector<HyperRect>& CellRects(uint64_t id) const;
 
   // Underlying tree statistics / validation (test support).
-  RTreeCore::TreeInfo TreeInfo() const;
-  std::string ValidateTree() const;
+  RTreeCore::TreeInfo TreeInfo() const override;
+  std::string ValidateTree() const override;
 
   // Deep self-check: validates the underlying tree, verifies that every
   // live point lies inside (one of) its own approximation rectangles,
@@ -330,10 +308,10 @@ class NNCellIndex {
   // (recording the covered WAL position), then truncates the log. A crash
   // between the two steps is safe -- the next Open skips the already-
   // covered records by LSN. Durable mode only.
-  Status Checkpoint();
+  Status Checkpoint() override;
 
   // True when this index was created by Open() and logs to a WAL.
-  bool durable() const { return wal_ != nullptr; }
+  bool durable() const override { return wal_ != nullptr; }
 
  private:
   // Candidate constraint points for `point` (not yet inserted) per the
@@ -360,11 +338,17 @@ class NNCellIndex {
   std::vector<double> ToMetricSpace(const double* x) const;
   std::vector<double> FromMetricSpace(const std::vector<double>& x) const;
 
-  // Registers the point in points_ / lookup (and, unless deferred for a
-  // bulk load, the point tree); returns its id or an error (duplicate,
-  // out of space, wrong dimension).
-  StatusOr<uint64_t> RegisterPoint(const std::vector<double>& point,
-                                   bool insert_into_point_tree);
+  // The preconditions of inserting `original`: matching dimension,
+  // finite coordinates inside the data space, and no exact duplicate of a
+  // live point. Returns the point in metric space. Pure read, so a
+  // rejected insert leaves the index, its stats and its WAL untouched.
+  StatusOr<std::vector<double>> ValidateInsert(
+      const std::vector<double>& original) const;
+
+  // Registers a validated metric-space point in points_ / lookup (and,
+  // unless deferred for a bulk load, the point tree); returns its id.
+  uint64_t RegisterPoint(const std::vector<double>& point,
+                         bool insert_into_point_tree);
 
   // Serializes the full snapshot image (header, metadata, both page
   // files, footer) recording `wal_lsn` as the WAL position it covers.
@@ -382,9 +366,9 @@ class NNCellIndex {
   static StatusOr<size_t> PeekSnapshotPageSize(const std::string& image);
 
   // Durable-mode write-ahead hooks (durability.cc): LogInsert/LogDelete
-  // re-run the operation's preconditions and append its WAL record, so a
-  // record is only ever logged for an operation that will succeed;
-  // ReplayWalRecord re-applies one recovered record.
+  // append the operation's WAL record. Callers check the preconditions
+  // first, so a record is only ever logged for an operation that will
+  // succeed; ReplayWalRecord re-applies one recovered record.
   Status LogInsert(const std::vector<double>& original);
   Status LogDelete(uint64_t id);
   Status ReplayWalRecord(const std::vector<uint8_t>& payload);
@@ -413,10 +397,9 @@ class NNCellIndex {
   std::unique_ptr<BufferPool> point_pool_;
   std::unique_ptr<RTreeCore> point_tree_;
 
-  // Shared engine of the approximate-tier overloads: certified /
-  // bounded-effort best-first k-NN on point_tree_ (requires
-  // approx.enabled(); the public overloads dispatch to the exact path
-  // otherwise).
+  // Shared engine of the approximate tier: certified / bounded-effort
+  // best-first k-NN on point_tree_ (requires approx.enabled(); Query and
+  // KnnQuery take their exact path otherwise).
   StatusOr<std::vector<QueryResult>> ApproxTraversalQuery(
       const double* q_original, size_t k, const ApproxOptions& approx) const;
 

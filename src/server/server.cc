@@ -32,41 +32,11 @@ bool IsQueryType(uint8_t type) {
   return type == kReqQuery || type == kReqQueryBatch;
 }
 
-// The built-in backend over a plain NNCellIndex (the sharded one lives
-// with the daemon that links the shard layer).
-class PlainIndexBackend : public IndexBackend {
- public:
-  explicit PlainIndexBackend(NNCellIndex* index) : index_(index) {
-    NNCELL_CHECK(index_ != nullptr);
-  }
-  size_t dim() const override { return index_->dim(); }
-  bool durable() const override { return index_->durable(); }
-  StatusOr<std::vector<NNCellIndex::QueryResult>> QueryBatch(
-      const PointSet& queries, const ApproxOptions& approx) const override {
-    return index_->QueryBatch(queries, approx);
-  }
-  StatusOr<uint64_t> Insert(const std::vector<double>& point) override {
-    return index_->Insert(point);
-  }
-  Status Delete(uint64_t id) override { return index_->Delete(id); }
-  Status Checkpoint() override { return index_->Checkpoint(); }
-
- private:
-  NNCellIndex* const index_;
-};
-
 }  // namespace
 
-NNCellServer::NNCellServer(NNCellIndex* index, ServerOptions options)
-    // nncell-lint: allow(naked-new) delegation needs the raw pointer; the body takes ownership into owned_backend_ before anything can fail
-    : NNCellServer(static_cast<IndexBackend*>(new PlainIndexBackend(index)),
-                   std::move(options)) {
-  owned_backend_.reset(backend_);
-}
-
-NNCellServer::NNCellServer(IndexBackend* backend, ServerOptions options)
-    : backend_(backend), options_(std::move(options)) {
-  NNCELL_CHECK(backend_ != nullptr);
+NNCellServer::NNCellServer(SearchIndex* index, ServerOptions options)
+    : index_(index), options_(std::move(options)) {
+  NNCELL_CHECK(index_ != nullptr);
   NNCELL_CHECK(options_.max_queue > 0);
   NNCELL_CHECK(options_.max_batch > 0);
   metrics::Registry& reg = metrics::Registry::Global();
@@ -168,7 +138,7 @@ Status NNCellServer::Stop() {
   }
 
   // 5. Make the served state durable before the process goes away.
-  if (backend_->durable()) return backend_->Checkpoint();
+  if (index_->durable()) return index_->Checkpoint();
   return Status::OK();
 }
 
@@ -349,7 +319,7 @@ void NNCellServer::DispatcherLoop() {
 
 namespace {
 
-WireQueryResult ToWire(const NNCellIndex::QueryResult& r,
+WireQueryResult ToWire(const SearchIndex::QueryResult& r,
                        bool with_certificate) {
   WireQueryResult w;
   w.id = r.id;
@@ -385,7 +355,7 @@ void NNCellServer::ExecuteQueryRun(std::vector<WorkItem>& run) {
   struct Group {
     ApproxOptions approx;
     PointSet batch;
-    std::vector<NNCellIndex::QueryResult> results;
+    std::vector<SearchIndex::QueryResult> results;
     Status status;
     Group(size_t dim, const ApproxOptions& a) : approx(a), batch(dim) {}
   };
@@ -418,17 +388,17 @@ void NNCellServer::ExecuteQueryRun(std::vector<WorkItem>& run) {
                     st.message());
       continue;
     }
-    if (dim != backend_->dim()) {
+    if (dim != index_->dim()) {
       Count(completed_, m_completed_);
       RespondStatus(item.conn, resp_type, item.request_id, kStatusError,
                     "dimension mismatch: got " + std::to_string(dim) +
-                        ", index is " + std::to_string(backend_->dim()));
+                        ", index is " + std::to_string(index_->dim()));
       continue;
     }
     if (groups.empty() ||
         groups.back().approx.epsilon != approx.epsilon ||
         groups.back().approx.max_leaf_visits != approx.max_leaf_visits) {
-      groups.emplace_back(backend_->dim(), approx);
+      groups.emplace_back(index_->dim(), approx);
     }
     Group& g = groups.back();
     decoded[i].group = groups.size() - 1;
@@ -443,7 +413,7 @@ void NNCellServer::ExecuteQueryRun(std::vector<WorkItem>& run) {
   for (Group& g : groups) {
     NNCELL_METRIC_COUNT(m_batches_, 1);
     NNCELL_METRIC_RECORD(m_batch_size_, g.batch.size());
-    auto r = backend_->QueryBatch(g.batch, g.approx);
+    auto r = index_->QueryBatch(g.batch, g.approx);
     if (r.ok()) {
       g.results = std::move(*r);
     } else {
@@ -494,7 +464,7 @@ void NNCellServer::ExecuteItem(const WorkItem& item) {
         EncodeStatusPayload(kStatusMalformed, st.message(), &payload);
         break;
       }
-      auto id = backend_->Insert(point);
+      auto id = index_->Insert(point);
       if (id.ok()) {
         EncodeInsertResultPayload(*id, &payload);
       } else {
@@ -509,7 +479,7 @@ void NNCellServer::ExecuteItem(const WorkItem& item) {
         EncodeStatusPayload(kStatusMalformed, st.message(), &payload);
         break;
       }
-      st = backend_->Delete(id);
+      st = index_->Delete(id);
       if (st.ok()) {
         EncodeStatusPayload(kStatusOk, "", &payload);
       } else {
@@ -528,11 +498,11 @@ void NNCellServer::ExecuteItem(const WorkItem& item) {
       RecordLatency(item);
       return;
     case kReqCheckpoint: {
-      if (!backend_->durable()) {
+      if (!index_->durable()) {
         EncodeStatusPayload(kStatusError, "index is not durable", &payload);
         break;
       }
-      Status st = backend_->Checkpoint();
+      Status st = index_->Checkpoint();
       if (st.ok()) {
         EncodeStatusPayload(kStatusOk, "", &payload);
       } else {
@@ -626,7 +596,7 @@ std::string NNCellServer::StatsJson() const {
   out += ",\"queue_depth\":" + std::to_string(depth);
   out += ",\"rejected\":" + std::to_string(rejected());
   out += "}";
-  std::string shard = backend_->ShardStatsJson();
+  std::string shard = index_->ShardStatsJson();
   if (!shard.empty()) {
     out += ",\"shard\":";
     out += shard;

@@ -315,6 +315,11 @@ std::string JoinPath(const std::string& a, const std::string& b) {
   return a + "/" + b;
 }
 
+bool IsShardedDir(const std::string& path) {
+  return fs::IsDirectory(path) &&
+         fs::PathExists(JoinPath(path, kShardManifestFileName));
+}
+
 Status RemovePathRecursive(const std::string& path) {
   struct stat st;
   if (::lstat(path.c_str(), &st) != 0) {

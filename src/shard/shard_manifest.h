@@ -85,6 +85,10 @@ StatusOr<RouterLogOp> DecodeRouterOp(const std::vector<uint8_t>& payload);
 std::string ShardDirName(size_t i);                      // "shard-<i>"
 std::string JoinPath(const std::string& a, const std::string& b);
 
+// True when `path` is a sharded index root: a directory holding a shard
+// manifest (a plain durable index directory has none).
+bool IsShardedDir(const std::string& path);
+
 // --- rebalance install protocol ------------------------------------------
 // A rebalance stages the complete next epoch (new shard dirs, manifest,
 // router snapshot) under dir/rebalance.tmp, then commits it with a single

@@ -388,27 +388,9 @@ bool ShardedIndex::IsAlive(uint64_t global_id) const {
 }
 
 StatusOr<NNCellIndex::QueryResult> ShardedIndex::Query(
-    const double* q) const {
-  std::shared_lock<std::shared_mutex> lock(epoch_mu_);
-  return QueryLocked(q, ApproxOptions{});
-}
-
-StatusOr<NNCellIndex::QueryResult> ShardedIndex::Query(
-    const std::vector<double>& q) const {
-  NNCELL_CHECK(q.size() == manifest_.dim);
-  return Query(q.data());
-}
-
-StatusOr<NNCellIndex::QueryResult> ShardedIndex::Query(
     const double* q, const ApproxOptions& approx) const {
   std::shared_lock<std::shared_mutex> lock(epoch_mu_);
   return QueryLocked(q, approx);
-}
-
-StatusOr<NNCellIndex::QueryResult> ShardedIndex::Query(
-    const std::vector<double>& q, const ApproxOptions& approx) const {
-  NNCELL_CHECK(q.size() == manifest_.dim);
-  return Query(q.data(), approx);
 }
 
 StatusOr<NNCellIndex::QueryResult> ShardedIndex::QueryLocked(
@@ -501,38 +483,19 @@ StatusOr<NNCellIndex::QueryResult> ShardedIndex::QueryLocked(
 }
 
 StatusOr<std::vector<NNCellIndex::QueryResult>> ShardedIndex::QueryBatch(
-    const PointSet& queries) const {
-  return QueryBatch(queries, ApproxOptions{});
-}
-
-StatusOr<std::vector<NNCellIndex::QueryResult>> ShardedIndex::QueryBatch(
     const PointSet& queries, const ApproxOptions& approx) const {
   std::shared_lock<std::shared_mutex> lock(epoch_mu_);
   if (queries.dim() != manifest_.dim) {
     return Status::InvalidArgument("dimension mismatch");
   }
-  const size_t n = queries.size();
-  std::vector<NNCellIndex::QueryResult> results(n);
-  if (thread_pool_ == nullptr || n <= 1) {
-    for (size_t i = 0; i < n; ++i) {
-      StatusOr<NNCellIndex::QueryResult> r = QueryLocked(queries[i], approx);
-      if (!r.ok()) return r.status();
-      results[i] = std::move(*r);
-    }
-    return results;
-  }
-  std::vector<Status> errors(n, Status::OK());
-  thread_pool_->ParallelFor(0, n, [&](size_t i) {
-    StatusOr<NNCellIndex::QueryResult> r = QueryLocked(queries[i], approx);
-    if (r.ok()) {
-      results[i] = std::move(*r);
-    } else {
-      errors[i] = r.status();
-    }
-  });
-  for (const Status& st : errors) {
-    if (!st.ok()) return st;
-  }
+  std::vector<QueryResult> results(queries.size());
+  NNCELL_RETURN_IF_ERROR(
+      FanOut(thread_pool_.get(), queries.size(), [&](size_t i) {
+        StatusOr<QueryResult> r = QueryLocked(queries[i], approx);
+        if (!r.ok()) return r.status();
+        results[i] = std::move(*r);
+        return Status::OK();
+      }));
   return results;
 }
 
@@ -646,28 +609,9 @@ StatusOr<std::vector<NNCellIndex::QueryResult>> ShardedIndex::MergeListQuery(
 }
 
 StatusOr<std::vector<NNCellIndex::QueryResult>> ShardedIndex::KnnQuery(
-    const double* q, size_t k) const {
-  std::shared_lock<std::shared_mutex> lock(epoch_mu_);
-  return MergeListQuery(q, k, 0.0, /*is_range=*/false, ApproxOptions{});
-}
-
-StatusOr<std::vector<NNCellIndex::QueryResult>> ShardedIndex::KnnQuery(
-    const std::vector<double>& q, size_t k) const {
-  NNCELL_CHECK(q.size() == manifest_.dim);
-  return KnnQuery(q.data(), k);
-}
-
-StatusOr<std::vector<NNCellIndex::QueryResult>> ShardedIndex::KnnQuery(
     const double* q, size_t k, const ApproxOptions& approx) const {
   std::shared_lock<std::shared_mutex> lock(epoch_mu_);
   return MergeListQuery(q, k, 0.0, /*is_range=*/false, approx);
-}
-
-StatusOr<std::vector<NNCellIndex::QueryResult>> ShardedIndex::KnnQuery(
-    const std::vector<double>& q, size_t k,
-    const ApproxOptions& approx) const {
-  NNCELL_CHECK(q.size() == manifest_.dim);
-  return KnnQuery(q.data(), k, approx);
 }
 
 StatusOr<std::vector<NNCellIndex::QueryResult>> ShardedIndex::RangeSearch(
@@ -795,19 +739,10 @@ Status ShardedIndex::BulkBuild(const PointSet& pts) {
     gids[s].push_back(gid++);
   }
 
-  std::vector<Status> errors(k, Status::OK());
-  auto build_one = [&](size_t s) {
-    if (parts[s].size() == 0) return;
-    errors[s] = shards_[s].index->BulkBuild(parts[s]);
-  };
-  if (thread_pool_ != nullptr && k > 1) {
-    thread_pool_->ParallelFor(0, k, build_one);
-  } else {
-    for (size_t s = 0; s < k; ++s) build_one(s);
-  }
-  for (const Status& st : errors) {
-    if (!st.ok()) return st;
-  }
+  NNCELL_RETURN_IF_ERROR(FanOut(thread_pool_.get(), k, [&](size_t s) {
+    if (parts[s].size() == 0) return Status::OK();
+    return shards_[s].index->BulkBuild(parts[s]);
+  }));
 
   router_.assign(gid, shard::RouterEntry());
   for (size_t s = 0; s < k; ++s) {
@@ -835,20 +770,12 @@ Status ShardedIndex::CheckpointLocked() {
     return Status::FailedPrecondition(
         "Checkpoint() requires a durable index (use ShardedIndex::Open)");
   }
-  const size_t k = shards_.size();
-  std::vector<Status> errors(k, Status::OK());
-  auto ckpt_one = [&](size_t s) {
-    if (shards_[s].index == nullptr || !shards_[s].index->durable()) return;
-    errors[s] = shards_[s].index->Checkpoint();
-  };
-  if (thread_pool_ != nullptr && k > 1) {
-    thread_pool_->ParallelFor(0, k, ckpt_one);
-  } else {
-    for (size_t s = 0; s < k; ++s) ckpt_one(s);
-  }
-  for (const Status& st : errors) {
-    if (!st.ok()) return st;
-  }
+  NNCELL_RETURN_IF_ERROR(
+      FanOut(thread_pool_.get(), shards_.size(), [&](size_t s) {
+        NNCellIndex* idx = shards_[s].index.get();
+        if (idx == nullptr || !idx->durable()) return Status::OK();
+        return idx->Checkpoint();
+      }));
   const uint64_t lsn = router_wal_->last_lsn();
   NNCELL_RETURN_IF_ERROR(WriteRouterStateLocked(
       shard::JoinPath(dir_, shard::kRouterSnapshotFileName), lsn));
@@ -944,36 +871,23 @@ Status ShardedIndex::RebalanceLocked(bool force) {
   NNCELL_RETURN_IF_ERROR(CheckSite("shard.rebalance.stage"));
 
   std::vector<Shard> next_shards(new_k);
-  std::vector<Status> errors(new_k, Status::OK());
   uint64_t covered_lsn = 0;
   if (durable()) {
     NNCELL_RETURN_IF_ERROR(shard::DiscardStagingIfPresent(dir_, nullptr));
     const std::string staging =
         shard::JoinPath(dir_, shard::kRebalanceStagingDirName);
     NNCELL_RETURN_IF_ERROR(fs::EnsureDirectory(staging));
-    auto build_one = [&](size_t s) {
+    // Each staged shard is closed (its unique_ptr dropped) before the
+    // directory is renamed under it.
+    NNCELL_RETURN_IF_ERROR(FanOut(thread_pool_.get(), new_k, [&](size_t s) {
       NNCellIndex::RecoveryInfo ri;
       StatusOr<std::unique_ptr<NNCellIndex>> idx = NNCellIndex::Open(
           shard::JoinPath(staging, shard::ShardDirName(s)), manifest_.dim,
           options_, dopts_, &ri);
-      if (!idx.ok()) {
-        errors[s] = idx.status();
-        return;
-      }
-      if (parts[s].size() > 0) {
-        errors[s] = (*idx)->BulkBuild(parts[s]);
-      }
-      // Close the staged shard before the directory is renamed under it.
-      idx->reset();
-    };
-    if (thread_pool_ != nullptr && new_k > 1) {
-      thread_pool_->ParallelFor(0, new_k, build_one);
-    } else {
-      for (size_t s = 0; s < new_k; ++s) build_one(s);
-    }
-    for (const Status& st : errors) {
-      if (!st.ok()) return st;
-    }
+      if (!idx.ok()) return idx.status();
+      if (parts[s].size() == 0) return Status::OK();
+      return (*idx)->BulkBuild(parts[s]);
+    }));
     NNCELL_RETURN_IF_ERROR(router_wal_->Sync());
     covered_lsn = router_wal_->last_lsn();
     // Staged router snapshot with the *new* mapping.
@@ -1015,24 +929,11 @@ Status ShardedIndex::RebalanceLocked(bool force) {
     if (!wal.ok()) return wal.status();
     router_wal_ = std::move(*wal);
   } else {
-    auto build_one = [&](size_t s) {
-      Status st = MakeMemoryShard(&next_shards[s]);
-      if (!st.ok()) {
-        errors[s] = st;
-        return;
-      }
-      if (parts[s].size() > 0) {
-        errors[s] = next_shards[s].index->BulkBuild(parts[s]);
-      }
-    };
-    if (thread_pool_ != nullptr && new_k > 1) {
-      thread_pool_->ParallelFor(0, new_k, build_one);
-    } else {
-      for (size_t s = 0; s < new_k; ++s) build_one(s);
-    }
-    for (const Status& st : errors) {
-      if (!st.ok()) return st;
-    }
+    NNCELL_RETURN_IF_ERROR(FanOut(thread_pool_.get(), new_k, [&](size_t s) {
+      NNCELL_RETURN_IF_ERROR(MakeMemoryShard(&next_shards[s]));
+      if (parts[s].size() == 0) return Status::OK();
+      return next_shards[s].index->BulkBuild(parts[s]);
+    }));
     manifest_ = next;
   }
 
@@ -1078,7 +979,7 @@ ShardedIndex::ShardStats ShardedIndex::Stats() const {
   return st;
 }
 
-std::string ShardedIndex::StatsJson() const {
+std::string ShardedIndex::ShardStatsJson() const {
   ShardStats s = Stats();
   char buf[64];
   std::string out = "{\"count\":" + std::to_string(s.live.size());

@@ -51,13 +51,16 @@ struct ShardedOptions {
 // index. See docs/SHARDING.md for the format, the pruning invariant and
 // the rebalance state machine.
 //
+// Both index kinds implement SearchIndex, so front ends (the server, the
+// CLI) serve either one through the same calls.
+//
 // Thread safety mirrors NNCellIndex: any number of concurrent readers
 // (Query / QueryBatch / KnnQuery / RangeSearch / accessors), mutations
 // externally exclusive. Internally an epoch lock (shared for queries,
 // exclusive for mutations and rebalance) makes the rebalance install
 // atomic with respect to in-flight queries: queries drain, the new epoch
 // installs, queries resume on the new shard set.
-class ShardedIndex {
+class ShardedIndex final : public SearchIndex {
  public:
   struct ShardRecovery {
     Status status;  // per-shard open result; !ok() => shard is degraded
@@ -103,17 +106,15 @@ class ShardedIndex {
       NNCellIndex::DurableOptions dopts, ShardedOptions sopts,
       RecoveryInfo* info = nullptr);
 
-  ~ShardedIndex();
-  ShardedIndex(const ShardedIndex&) = delete;
-  ShardedIndex& operator=(const ShardedIndex&) = delete;
+  ~ShardedIndex() override;
 
-  size_t dim() const { return manifest_.dim; }
+  size_t dim() const override { return manifest_.dim; }
   size_t num_shards() const { return manifest_.shard_count; }
   uint64_t epoch() const { return manifest_.epoch; }
-  const NNCellOptions& options() const { return options_; }
+  const NNCellOptions& options() const override { return options_; }
   const ShardedOptions& sharded_options() const { return sopts_; }
-  bool durable() const { return !dir_.empty(); }
-  size_t size() const;  // live points across healthy shards
+  bool durable() const override { return !dir_.empty(); }
+  size_t size() const override;  // live points across healthy shards
 
   bool degraded() const { return degraded_count_ > 0; }
   size_t degraded_shards() const { return degraded_count_; }
@@ -127,46 +128,36 @@ class ShardedIndex {
   // best distance, nearest slab first. The returned id/dist/point are
   // bit-identical to an unsharded index over the same inserts;
   // `candidates` sums the probed shards' candidate sets.
-  StatusOr<NNCellIndex::QueryResult> Query(const double* q) const;
-  StatusOr<NNCellIndex::QueryResult> Query(const std::vector<double>& q) const;
-  StatusOr<std::vector<NNCellIndex::QueryResult>> QueryBatch(
-      const PointSet& queries) const;
-  StatusOr<std::vector<NNCellIndex::QueryResult>> KnnQuery(const double* q,
-                                                           size_t k) const;
-  StatusOr<std::vector<NNCellIndex::QueryResult>> KnnQuery(
-      const std::vector<double>& q, size_t k) const;
-  StatusOr<std::vector<NNCellIndex::QueryResult>> RangeSearch(
-      const double* q, double radius) const;
-  StatusOr<std::vector<NNCellIndex::QueryResult>> RangeSearch(
-      const std::vector<double>& q, double radius) const;
-
-  // Approximate query tier (docs/APPROXIMATE.md): every probed shard runs
-  // its certified / bounded-effort traversal with the same knobs, and the
+  //
+  // Approximate query tier (docs/APPROXIMATE.md): a default `approx` takes
+  // the exact path above. With an enabled one every probed shard runs its
+  // certified / bounded-effort traversal with the same knobs, and the
   // merged answer carries an aggregate certificate (leaf visits summed,
   // flags OR'd, bound = min over probed shards' bounds and pruned shards'
   // slab distances). The (1+epsilon) guarantee survives the merge: a
   // pruned slab provably cannot beat the returned best, and the winning
-  // shard's own certificate covers its slab. When !approx.enabled() these
-  // dispatch to the exact overloads above, bit-identically. The leaf-visit
-  // budget applies per probed shard, not globally.
-  StatusOr<NNCellIndex::QueryResult> Query(const double* q,
-                                           const ApproxOptions& approx) const;
-  StatusOr<NNCellIndex::QueryResult> Query(const std::vector<double>& q,
-                                           const ApproxOptions& approx) const;
-  StatusOr<std::vector<NNCellIndex::QueryResult>> QueryBatch(
-      const PointSet& queries, const ApproxOptions& approx) const;
-  StatusOr<std::vector<NNCellIndex::QueryResult>> KnnQuery(
-      const double* q, size_t k, const ApproxOptions& approx) const;
-  StatusOr<std::vector<NNCellIndex::QueryResult>> KnnQuery(
-      const std::vector<double>& q, size_t k,
-      const ApproxOptions& approx) const;
+  // shard's own certificate covers its slab. The leaf-visit budget applies
+  // per probed shard, not globally.
+  StatusOr<QueryResult> Query(const double* q,
+                              const ApproxOptions& approx = {}) const override;
+  using SearchIndex::Query;
+  StatusOr<std::vector<QueryResult>> QueryBatch(
+      const PointSet& queries, const ApproxOptions& approx = {}) const override;
+  StatusOr<std::vector<QueryResult>> KnnQuery(
+      const double* q, size_t k,
+      const ApproxOptions& approx = {}) const override;
+  using SearchIndex::KnnQuery;
+  StatusOr<std::vector<QueryResult>> RangeSearch(const double* q,
+                                                 double radius) const;
+  StatusOr<std::vector<QueryResult>> RangeSearch(const std::vector<double>& q,
+                                                 double radius) const;
 
   // Routes to the owning shard, inserts there (WAL first), then journals
   // the (global id, shard) assignment in the router log. Returns the
   // global id. May trigger an online rebalance per ShardedOptions; the
   // insert itself is acknowledged either way.
-  StatusOr<uint64_t> Insert(const std::vector<double>& point);
-  Status Delete(uint64_t global_id);
+  StatusOr<uint64_t> Insert(const std::vector<double>& point) override;
+  Status Delete(uint64_t global_id) override;
 
   // Static build: partitions the (deduplicated) input along
   // quantile-balanced cuts, builds every shard in parallel over the
@@ -175,7 +166,7 @@ class ShardedIndex {
 
   // Checkpoints every healthy shard (in parallel), then folds the router
   // log into a fresh router snapshot.
-  Status Checkpoint();
+  Status Checkpoint() override;
 
   // Recomputes quantile-balanced cuts (and, with target_points_per_shard,
   // the shard count) from the live points and rebuilds the shards under
@@ -204,12 +195,12 @@ class ShardedIndex {
   //  "shards":[{"healthy":b,"live":n,"probes":n,"total":n},...]}.
   // The "shard" member of `nncell_cli stats --json` and the server's
   // STATS_JSON response.
-  std::string StatsJson() const;
+  std::string ShardStatsJson() const override;
 
   // Aggregates over the healthy shards (test / CLI support).
-  RTreeCore::TreeInfo TreeInfo() const;
-  std::string ValidateTree() const;
-  double ExpectedCandidates() const;
+  RTreeCore::TreeInfo TreeInfo() const override;
+  std::string ValidateTree() const override;
+  double ExpectedCandidates() const override;
 
   // Deep self-check: every shard's own invariants, the router map
   // (bijective onto shard points, aliveness agrees, locals dense and
@@ -218,7 +209,7 @@ class ShardedIndex {
   Status CheckInvariants(size_t sample_queries = 100,
                          uint64_t seed = 0x5eed) const;
 
-  void SetNumThreads(size_t num_threads);
+  void SetNumThreads(size_t num_threads) override;
 
  private:
   struct Shard {
@@ -241,9 +232,9 @@ class ShardedIndex {
   // Router recovery: snapshot + log replay + shard reconciliation.
   Status RecoverRouter(NNCellIndex::DurableOptions dopts, RecoveryInfo* info);
 
-  StatusOr<NNCellIndex::QueryResult> QueryLocked(
-      const double* q, const ApproxOptions& approx) const;
-  StatusOr<std::vector<NNCellIndex::QueryResult>> MergeListQuery(
+  StatusOr<QueryResult> QueryLocked(const double* q,
+                                    const ApproxOptions& approx) const;
+  StatusOr<std::vector<QueryResult>> MergeListQuery(
       const double* q, size_t k, double radius, bool is_range,
       const ApproxOptions& approx) const;
 

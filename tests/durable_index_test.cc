@@ -2,6 +2,7 @@
 // WAL replay after unclean shutdown, recovery bookkeeping, and differential
 // equivalence against an in-memory oracle.
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -202,6 +203,7 @@ TEST_F(DurableIndexTest, RejectedOperationsLeaveNoWalRecord) {
     EXPECT_FALSE((*idx)->Insert({0.5, 0.5}).ok());       // duplicate
     EXPECT_FALSE((*idx)->Insert({0.5, 0.5, 0.5}).ok());  // dim mismatch
     EXPECT_FALSE((*idx)->Insert({1.5, 0.5}).ok());       // outside space
+    EXPECT_FALSE((*idx)->Insert({std::nan(""), 0.5}).ok());  // NaN
     EXPECT_FALSE((*idx)->Delete(123).ok());              // no such id
   }
   NNCellIndex::RecoveryInfo info;

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -75,13 +76,23 @@ TEST(NNCellIndexTest, SinglePointOwnsWholeSpace) {
 TEST(NNCellIndexTest, RejectsDuplicatesAndBadInput) {
   IndexFixture fx(2, NNCellOptions{});
   ASSERT_TRUE(fx.index->Insert({0.5, 0.5}).ok());
+  ASSERT_TRUE(fx.index->Insert({0.25, 0.75}).ok());
+  const NNCellBuildStats before = fx.index->build_stats();
   auto dup = fx.index->Insert({0.5, 0.5});
   EXPECT_EQ(dup.status().code(), StatusCode::kAlreadyExists);
   auto wrong_dim = fx.index->Insert({0.5});
   EXPECT_EQ(wrong_dim.status().code(), StatusCode::kInvalidArgument);
   auto outside = fx.index->Insert({1.5, 0.5});
   EXPECT_EQ(outside.status().code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(fx.index->size(), 1u);
+  auto not_a_number = fx.index->Insert({std::nan(""), 0.5});
+  EXPECT_EQ(not_a_number.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(fx.index->size(), 2u);
+  // Rejected before any work: no cell computed, recomputed or indexed.
+  const NNCellBuildStats& after = fx.index->build_stats();
+  EXPECT_EQ(after.approx.lp_runs, before.approx.lp_runs);
+  EXPECT_EQ(after.approx.lp_iterations, before.approx.lp_iterations);
+  EXPECT_EQ(after.cells_recomputed, before.cells_recomputed);
+  EXPECT_EQ(after.entries_inserted, before.entries_inserted);
 }
 
 struct StrategyCase {

@@ -1,10 +1,13 @@
 // Differential oracle for the query service: the same seeded workload is
 // driven twice -- through a live server over its wire protocol, and
-// directly against an NNCellIndex built with identical options -- and
-// every response must match. Covers all four approximation algorithms at
-// d = 2, 8, 16, and (separately) a durable server that is SIGTERM-drained,
-// checkpointed and restarted mid-workload: the reopened server must keep
-// answering exactly like the never-restarted oracle.
+// directly against an index of the same kind built with identical options
+// -- and every response must match, exact and at epsilon = 0.1. Covers all
+// four approximation algorithms at d = 2, 8, 16, for the server fronting a
+// plain NNCellIndex and an in-memory 3-shard ShardedIndex (whose exact
+// neighbors must also equal the plain index's), and (separately) a durable
+// server that is SIGTERM-drained, checkpointed and restarted mid-workload:
+// the reopened server must keep answering exactly like the never-restarted
+// oracle.
 
 #include <signal.h>
 #include <sys/wait.h>
@@ -22,6 +25,7 @@
 #include "nncell/nncell_index.h"
 #include "server/client.h"
 #include "server/server.h"
+#include "shard/sharded_index.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_file.h"
 
@@ -35,39 +39,108 @@ NNCellOptions Options(ApproxAlgorithm alg) {
   return opts;
 }
 
+enum class IndexKind { kPlain, kSharded };
+
+// One index of either kind; both are served and driven through
+// SearchIndex.
 struct Oracle {
   std::unique_ptr<PageFile> file;
   std::unique_ptr<BufferPool> pool;
-  std::unique_ptr<NNCellIndex> index;
+  std::unique_ptr<SearchIndex> index;
 
-  Oracle(size_t dim, ApproxAlgorithm alg) {
+  Oracle(size_t dim, ApproxAlgorithm alg,
+         IndexKind kind = IndexKind::kPlain) {
+    if (kind == IndexKind::kSharded) {
+      ShardedOptions sopts;
+      sopts.num_shards = 3;
+      auto idx = ShardedIndex::Create(dim, Options(alg), sopts);
+      EXPECT_TRUE(idx.ok()) << idx.status().ToString();
+      if (idx.ok()) index = std::move(*idx);
+      return;
+    }
     file = std::make_unique<PageFile>(4096);
     pool = std::make_unique<BufferPool>(file.get(), 2048);
     index = std::make_unique<NNCellIndex>(pool.get(), dim, Options(alg));
   }
 };
 
+// Bit-identity of one served answer with the directly computed one. The
+// certificate travels only when the request carried an approx block.
+::testing::AssertionResult SameAnswer(const WireQueryResult& w,
+                                      const SearchIndex::QueryResult& r,
+                                      bool with_certificate) {
+  if (w.id != r.id || w.dist != r.dist || w.candidates != r.candidates ||
+      w.used_fallback != (r.used_fallback ? 1 : 0) || w.point != r.point) {
+    return ::testing::AssertionFailure()
+           << "served id=" << w.id << " dist=" << w.dist
+           << " candidates=" << w.candidates << ", direct id=" << r.id
+           << " dist=" << r.dist << " candidates=" << r.candidates;
+  }
+  if (w.has_certificate != with_certificate) {
+    return ::testing::AssertionFailure() << "certificate presence differs";
+  }
+  if (with_certificate &&
+      (w.certificate.approximate != (r.approx.approximate ? 1 : 0) ||
+       w.certificate.terminated_early != (r.approx.terminated_early ? 1 : 0) ||
+       w.certificate.truncated != (r.approx.truncated ? 1 : 0) ||
+       w.certificate.leaf_visits != r.approx.leaf_visits ||
+       w.certificate.bound != r.approx.bound)) {
+    return ::testing::AssertionFailure() << "certificates differ";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// A sharded answer equals the plain index's in id, distance and point
+// (its candidate count and certificate aggregate the probed shards'). For
+// exact answers that is the shard layer's contract; at epsilon = 0.1 it
+// holds for this workload, whose small shards and index agree on every
+// neighbor (certificate soundness in general: approx_test).
+::testing::AssertionResult SameNeighbor(const WireQueryResult& w,
+                                        const SearchIndex::QueryResult& r) {
+  if (w.id == r.id && w.dist == r.dist && w.point == r.point) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "served id=" << w.id << " dist=" << w.dist << ", plain id="
+         << r.id << " dist=" << r.dist
+         << " (at epsilon > 0 equal neighbors are not a contract; the "
+            "certificate bound is checked in approx_test)";
+}
+
 // One deterministic mixed workload: preload inserts, then interleaved
 // queries / inserts / deletes. Every response from the server is compared
-// against the directly-driven oracle as it happens.
-void RunDifferentialWorkload(Client& client, NNCellIndex& oracle, size_t dim,
-                             uint64_t seed) {
+// against the directly-driven oracle as it happens, exact and at
+// epsilon = 0.1. When `plain` is non-null (the oracle is sharded) it
+// receives the same writes and every answer's neighbor must match it.
+void RunDifferentialWorkload(Client& client, SearchIndex& oracle,
+                             NNCellIndex* plain, size_t dim, uint64_t seed) {
   Rng rng(seed);
   auto random_point = [&] {
     std::vector<double> p(dim);
     for (double& v : p) v = rng.NextDouble();
     return p;
   };
+  auto insert = [&](const std::vector<double>& p) -> StatusOr<uint64_t> {
+    auto sid = client.Insert(p);
+    if (!sid.ok()) return sid.status();
+    auto oid = oracle.Insert(p);
+    if (!oid.ok()) return oid.status();
+    if (*sid != *oid) return Status::Internal("served and direct ids differ");
+    if (plain != nullptr) {
+      auto pid = plain->Insert(p);
+      if (!pid.ok()) return pid.status();
+      if (*pid != *sid) return Status::Internal("sharded and plain ids differ");
+    }
+    return *sid;
+  };
+  ApproxOptions approx;
+  approx.epsilon = 0.1;
 
   std::vector<uint64_t> live;
   for (int i = 0; i < 30; ++i) {
-    auto p = random_point();
-    auto sid = client.Insert(p);
-    ASSERT_TRUE(sid.ok()) << sid.status().ToString();
-    auto oid = oracle.Insert(p);
-    ASSERT_TRUE(oid.ok());
-    ASSERT_EQ(*sid, *oid) << "insert " << i;
-    live.push_back(*sid);
+    auto id = insert(random_point());
+    ASSERT_TRUE(id.ok()) << "insert " << i << ": " << id.status().ToString();
+    live.push_back(*id);
   }
 
   for (int op = 0; op < 40; ++op) {
@@ -79,36 +152,52 @@ void RunDifferentialWorkload(Client& client, NNCellIndex& oracle, size_t dim,
       ASSERT_TRUE(sr.ok()) << sr.status().ToString();
       auto orr = oracle.Query(q.data());
       ASSERT_TRUE(orr.ok());
-      ASSERT_EQ(sr->id, orr->id) << "op " << op;
-      ASSERT_EQ(sr->dist, orr->dist) << "op " << op;
-      ASSERT_EQ(sr->candidates, orr->candidates) << "op " << op;
-      ASSERT_EQ(sr->used_fallback, orr->used_fallback ? 1 : 0) << "op " << op;
+      ASSERT_TRUE(SameAnswer(*sr, *orr, false)) << "op " << op;
       ASSERT_EQ(sr->point.size(), dim);
-      for (size_t d = 0; d < dim; ++d) {
-        ASSERT_EQ(sr->point[d], orr->point[d]) << "op " << op << " dim " << d;
+      if (plain != nullptr) {
+        auto pr = plain->Query(q.data());
+        ASSERT_TRUE(pr.ok());
+        ASSERT_TRUE(SameNeighbor(*sr, *pr)) << "op " << op;
+      }
+      auto sa = client.Query(q, approx);
+      ASSERT_TRUE(sa.ok()) << sa.status().ToString();
+      auto oa = oracle.Query(q.data(), approx);
+      ASSERT_TRUE(oa.ok());
+      ASSERT_TRUE(SameAnswer(*sa, *oa, true)) << "approx op " << op;
+      if (plain != nullptr) {
+        auto pa = plain->Query(q.data(), approx);
+        ASSERT_TRUE(pa.ok());
+        ASSERT_TRUE(SameNeighbor(*sa, *pa)) << "approx op " << op;
       }
     } else if (pick < 8) {
       // batch of 3 queries
       std::vector<std::vector<double>> qs = {random_point(), random_point(),
                                              random_point()};
-      auto srs = client.QueryBatch(qs);
-      ASSERT_TRUE(srs.ok()) << srs.status().ToString();
-      ASSERT_EQ(srs->size(), qs.size());
-      for (size_t i = 0; i < qs.size(); ++i) {
-        auto orr = oracle.Query(qs[i].data());
-        ASSERT_TRUE(orr.ok());
-        ASSERT_EQ((*srs)[i].id, orr->id) << "op " << op << " q " << i;
-        ASSERT_EQ((*srs)[i].dist, orr->dist) << "op " << op << " q " << i;
+      for (bool with_approx : {false, true}) {
+        auto srs = with_approx ? client.QueryBatch(qs, approx)
+                               : client.QueryBatch(qs);
+        ASSERT_TRUE(srs.ok()) << srs.status().ToString();
+        ASSERT_EQ(srs->size(), qs.size());
+        for (size_t i = 0; i < qs.size(); ++i) {
+          auto orr = oracle.Query(qs[i].data(),
+                                  with_approx ? approx : ApproxOptions{});
+          ASSERT_TRUE(orr.ok());
+          ASSERT_TRUE(SameAnswer((*srs)[i], *orr, with_approx))
+              << "op " << op << " q " << i << " approx " << with_approx;
+          if (plain != nullptr) {
+            auto pr = plain->Query(qs[i].data(),
+                                   with_approx ? approx : ApproxOptions{});
+            ASSERT_TRUE(pr.ok());
+            ASSERT_TRUE(SameNeighbor((*srs)[i], *pr))
+                << "op " << op << " q " << i;
+          }
+        }
       }
     } else if (pick == 8) {
       // insert
-      auto p = random_point();
-      auto sid = client.Insert(p);
-      ASSERT_TRUE(sid.ok());
-      auto oid = oracle.Insert(p);
-      ASSERT_TRUE(oid.ok());
-      ASSERT_EQ(*sid, *oid) << "op " << op;
-      live.push_back(*sid);
+      auto id = insert(random_point());
+      ASSERT_TRUE(id.ok()) << "op " << op << ": " << id.status().ToString();
+      live.push_back(*id);
     } else if (!live.empty()) {
       // delete
       const size_t victim = rng.NextIndex(live.size());
@@ -116,23 +205,35 @@ void RunDifferentialWorkload(Client& client, NNCellIndex& oracle, size_t dim,
       live.erase(live.begin() + victim);
       ASSERT_TRUE(client.Delete(id).ok()) << "op " << op;
       ASSERT_TRUE(oracle.Delete(id).ok());
-      ASSERT_FALSE(oracle.IsAlive(id));
+      // The id is no longer live: deleting it again is NOT_FOUND.
+      ASSERT_EQ(oracle.Delete(id).code(), StatusCode::kNotFound);
+      if (plain != nullptr) {
+        ASSERT_TRUE(plain->Delete(id).ok());
+        ASSERT_FALSE(plain->IsAlive(id));
+      }
     }
   }
 }
 
 class ServerDifferentialTest
-    : public ::testing::TestWithParam<std::tuple<ApproxAlgorithm, size_t>> {};
+    : public ::testing::TestWithParam<
+          std::tuple<ApproxAlgorithm, size_t, IndexKind>> {};
 
 TEST_P(ServerDifferentialTest, ServerMatchesDirectIndex) {
-  const auto [alg, dim] = GetParam();
+  const auto [alg, dim, kind] = GetParam();
   const std::string socket_path =
       ::testing::TempDir() + "server_diff_" + std::to_string(static_cast<int>(alg)) +
-      "_" + std::to_string(dim) + ".sock";
+      "_" + std::to_string(dim) + "_" + std::to_string(static_cast<int>(kind)) +
+      ".sock";
   std::filesystem::remove(socket_path);
 
-  Oracle served(dim, alg);
-  Oracle oracle(dim, alg);
+  Oracle served(dim, alg, kind);
+  Oracle oracle(dim, alg, kind);
+  ASSERT_NE(served.index, nullptr);
+  ASSERT_NE(oracle.index, nullptr);
+  // A sharded oracle is also checked against the plain index.
+  std::unique_ptr<Oracle> plain;
+  if (kind == IndexKind::kSharded) plain = std::make_unique<Oracle>(dim, alg);
   ServerOptions sopt;
   sopt.socket_path = socket_path;
   NNCellServer server(served.index.get(), sopt);
@@ -141,8 +242,10 @@ TEST_P(ServerDifferentialTest, ServerMatchesDirectIndex) {
   {
     auto client = Client::ConnectUnix(socket_path);
     ASSERT_TRUE(client.ok()) << client.status().ToString();
-    RunDifferentialWorkload(*client, *oracle.index, dim,
-                            0xd1ff + dim * 131 + static_cast<int>(alg));
+    RunDifferentialWorkload(
+        *client, *oracle.index,
+        plain ? static_cast<NNCellIndex*>(plain->index.get()) : nullptr, dim,
+        0xd1ff + dim * 131 + static_cast<int>(alg));
   }
   ASSERT_TRUE(server.Stop().ok());
   EXPECT_EQ(server.accepted(), server.completed() + server.rejected());
@@ -155,12 +258,16 @@ INSTANTIATE_TEST_SUITE_P(
                                          ApproxAlgorithm::kPoint,
                                          ApproxAlgorithm::kSphere,
                                          ApproxAlgorithm::kNNDirection),
-                       ::testing::Values(size_t{2}, size_t{8}, size_t{16})),
+                       ::testing::Values(size_t{2}, size_t{8}, size_t{16}),
+                       ::testing::Values(IndexKind::kPlain,
+                                         IndexKind::kSharded)),
     [](const auto& info) {
       std::string name = ApproxAlgorithmName(std::get<0>(info.param));
       std::erase_if(name, [](char c) { return !std::isalnum(
                                            static_cast<unsigned char>(c)); });
-      return name + "_d" + std::to_string(std::get<1>(info.param));
+      name += "_d" + std::to_string(std::get<1>(info.param));
+      if (std::get<2>(info.param) == IndexKind::kSharded) name += "_sharded";
+      return name;
     });
 
 // --- SIGTERM-checkpoint-restart mid-workload ------------------------------

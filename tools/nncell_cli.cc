@@ -67,6 +67,7 @@
 #include "nncell/nncell_index.h"
 #include "nncell/query_trace.h"
 #include "shard/shard_format.h"
+#include "shard/shard_manifest.h"
 #include "shard/sharded_index.h"
 #include "storage/buffer_pool.h"
 #include "storage/fs_util.h"
@@ -76,33 +77,25 @@ namespace {
 
 using namespace nncell;
 
-// An opened index plus whatever storage keeps it alive: durable indexes
-// own their storage; file-image indexes borrow `file`/`pool` below.
-// Exactly one of `index`/`sharded` is set.
+// An opened index plus whatever storage keeps it alive: durable and
+// sharded indexes own their storage; file-image indexes borrow
+// `file`/`pool` below.
 struct OpenedIndex {
   std::unique_ptr<PageFile> file;
   std::unique_ptr<BufferPool> pool;
-  std::unique_ptr<NNCellIndex> index;
-  std::unique_ptr<ShardedIndex> sharded;
+  std::unique_ptr<SearchIndex> index;
 };
-
-// A directory with a shard manifest is a sharded index root, not a plain
-// durable index directory.
-bool IsShardedDir(const std::string& path) {
-  return fs::IsDirectory(path) &&
-         fs::PathExists(shard::JoinPath(path, shard::kShardManifestFileName));
-}
 
 // Opens `path` as a sharded root, a durable directory, or a single-file
 // snapshot image.
 StatusOr<OpenedIndex> OpenAnyIndex(const std::string& path) {
   OpenedIndex o;
-  if (IsShardedDir(path)) {
+  if (shard::IsShardedDir(path)) {
     auto idx = ShardedIndex::Open(path, 0, NNCellOptions(),
                                   NNCellIndex::DurableOptions(),
                                   ShardedOptions());
     if (!idx.ok()) return idx.status();
-    o.sharded = std::move(*idx);
+    o.index = std::move(*idx);
     return o;
   }
   if (fs::IsDirectory(path)) {
@@ -318,17 +311,15 @@ void PrintNnLine(size_t i, const NNCellIndex::QueryResult& r,
   std::printf("\n");
 }
 
-// The batch/serial/knn answer paths, shared verbatim between the plain and
-// the sharded index (whose query API mirrors NNCellIndex and answers
-// bit-identically; docs/SHARDING.md).
-template <typename Index>
-int RunQueries(Index& index, const PointSet& queries, size_t k,
+// The batch/serial/knn answer paths. Either index kind answers through
+// SearchIndex (the sharded one bit-identically to the plain one;
+// docs/SHARDING.md), and a default `approx` takes the exact path.
+int RunQueries(const SearchIndex& index, const PointSet& queries, size_t k,
                size_t threads, const ApproxOptions& approx) {
   if (k == 1 && (threads == 0 || threads > 1)) {
     // Batched answer path: results are identical to the serial loop below,
     // computed by concurrent readers.
-    auto results = approx.enabled() ? index.QueryBatch(queries, approx)
-                                    : index.QueryBatch(queries);
+    auto results = index.QueryBatch(queries, approx);
     if (!results.ok()) {
       std::fprintf(stderr, "%s\n", results.status().ToString().c_str());
       return 1;
@@ -340,16 +331,14 @@ int RunQueries(Index& index, const PointSet& queries, size_t k,
   }
   for (size_t i = 0; i < queries.size(); ++i) {
     if (k == 1) {
-      auto r = approx.enabled() ? index.Query(queries[i], approx)
-                                : index.Query(queries[i]);
+      auto r = index.Query(queries[i], approx);
       if (!r.ok()) {
         std::printf("query %zu: error %s\n", i, r.status().ToString().c_str());
         continue;
       }
       PrintNnLine(i, *r, approx);
     } else {
-      auto r = approx.enabled() ? index.KnnQuery(queries[i], k, approx)
-                                : index.KnnQuery(queries[i], k);
+      auto r = index.KnnQuery(queries[i], k, approx);
       if (!r.ok()) {
         std::printf("query %zu: error %s\n", i, r.status().ToString().c_str());
         continue;
@@ -404,8 +393,8 @@ int Query(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", opened.status().ToString().c_str());
     return 1;
   }
-  const size_t index_dim =
-      opened->sharded ? opened->sharded->dim() : opened->index->dim();
+  SearchIndex& index = *opened->index;
+  const size_t index_dim = index.dim();
   auto queries = ReadCsv(argv[3]);
   if (!queries.ok()) {
     std::fprintf(stderr, "%s\n", queries.status().ToString().c_str());
@@ -423,11 +412,7 @@ int Query(int argc, char** argv) {
   size_t threads = 1;
   if (const char* t = FlagValue(argc, argv, "--threads")) {
     threads = std::strtoul(t, nullptr, 10);
-    if (opened->sharded) {
-      opened->sharded->SetNumThreads(threads);
-    } else {
-      opened->index->SetNumThreads(threads);
-    }
+    index.SetNumThreads(threads);
   }
   ApproxOptions approx;
   if (!ParseApproxFlags(argc, argv, &approx)) return 2;
@@ -440,7 +425,8 @@ int Query(int argc, char** argv) {
     return 2;
   }
   if (trace_mode && k == 1) {
-    if (opened->sharded) {
+    const auto* plain = dynamic_cast<const NNCellIndex*>(&index);
+    if (plain == nullptr) {
       // Per-stage timelines are a single-index diagnostic; a sharded query
       // is a merge of several of them. Point the operator at the shards.
       std::fprintf(stderr,
@@ -451,10 +437,9 @@ int Query(int argc, char** argv) {
     // Traced queries run serially: the per-query buffer-pool deltas in the
     // trace are only exact when queries do not overlap.
     metrics::Registry::SetEnabled(true);
-    auto& index = opened->index;
     for (size_t i = 0; i < queries->size(); ++i) {
       QueryTrace trace;
-      auto r = index->Query((*queries)[i], &trace);
+      auto r = plain->Query((*queries)[i], &trace);
       if (!r.ok()) {
         std::printf("query %zu: error %s\n", i, r.status().ToString().c_str());
         continue;
@@ -466,25 +451,14 @@ int Query(int argc, char** argv) {
     }
     return 0;
   }
-  if (opened->sharded) {
-    return RunQueries(*opened->sharded, *queries, k, threads, approx);
-  }
-  return RunQueries(*opened->index, *queries, k, threads, approx);
+  return RunQueries(index, *queries, k, threads, approx);
 }
 
-// LP-effort probe for the stats workload: the sharded index has no
-// aggregate recompute hook, so its LP counters reflect the build only.
-void ProbeLpEffort(NNCellIndex& index, size_t lp_sample, uint64_t seed) {
-  (void)index.MeasureApproxEffort(lp_sample, seed);
-}
-void ProbeLpEffort(ShardedIndex&, size_t, uint64_t) {}
-
-// Stats over either index kind; `sharded` is null for a plain index, and
-// its presence only *adds* output (the unsharded text and JSON stay
-// byte-identical to what they were before sharding existed).
-template <typename Index>
-int RunStats(Index& index, const ShardedIndex* sharded, int argc,
-             char** argv) {
+// Stats over either index kind. A sharded index only *adds* output (the
+// unsharded text and JSON stay byte-identical to what they were before
+// sharding existed).
+int RunStats(const SearchIndex& index, int argc, char** argv) {
+  const auto* sharded = dynamic_cast<const ShardedIndex*>(&index);
   auto info = index.TreeInfo();
   if (!HasFlag(argc, argv, "--json")) {
     std::printf("points:             %zu (dim %zu)\n", index.size(),
@@ -550,7 +524,7 @@ int RunStats(Index& index, const ShardedIndex* sharded, int argc,
   uint64_t approx_leaf_visits = 0;
   for (size_t t = 0; t < probe_queries; ++t) {
     for (auto& v : q) v = rng.NextDouble();
-    auto r = approx.enabled() ? index.Query(q, approx) : index.Query(q);
+    auto r = index.Query(q, approx);
     if (!r.ok()) {
       std::fprintf(stderr, "probe query failed: %s\n",
                    r.status().ToString().c_str());
@@ -564,8 +538,11 @@ int RunStats(Index& index, const ShardedIndex* sharded, int argc,
     }
   }
   // Recompute (and discard) a few cell approximations so the LP pipeline
-  // counters reflect this index, not just zeros.
-  ProbeLpEffort(index, lp_sample, seed);
+  // counters reflect this index, not just zeros. The sharded index has no
+  // aggregate recompute hook, so its LP counters reflect the build only.
+  if (const auto* plain = dynamic_cast<const NNCellIndex*>(&index)) {
+    (void)plain->MeasureApproxEffort(lp_sample, seed);
+  }
   metrics::Registry::SetEnabled(false);
 
   char buf[512];
@@ -603,9 +580,9 @@ int RunStats(Index& index, const ShardedIndex* sharded, int argc,
   } else {
     out += ",\"approx\":{\"enabled\":0}";
   }
-  if (sharded != nullptr) {
+  if (std::string shard = index.ShardStatsJson(); !shard.empty()) {
     out += ",\"shard\":";
-    out += sharded->StatsJson();
+    out += shard;
   }
   out += ",\"metrics\":";
   out += registry.SnapshotJson();
@@ -626,10 +603,7 @@ int Stats(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", opened.status().ToString().c_str());
     return 1;
   }
-  if (opened->sharded) {
-    return RunStats(*opened->sharded, opened->sharded.get(), argc, argv);
-  }
-  return RunStats(*opened->index, nullptr, argc, argv);
+  return RunStats(*opened->index, argc, argv);
 }
 
 int Checkpoint(int argc, char** argv) {
@@ -642,7 +616,7 @@ int Checkpoint(int argc, char** argv) {
     std::fprintf(stderr, "%s is not a durable index directory\n", dir.c_str());
     return 2;
   }
-  if (IsShardedDir(dir)) {
+  if (shard::IsShardedDir(dir)) {
     ShardedIndex::RecoveryInfo sinfo;
     auto idx = ShardedIndex::Open(dir, 0, NNCellOptions(),
                                   NNCellIndex::DurableOptions(),
@@ -739,7 +713,7 @@ int Recover(int argc, char** argv) {
     std::fprintf(stderr, "%s is not a durable index directory\n", dir.c_str());
     return 2;
   }
-  if (IsShardedDir(dir)) return RecoverSharded(dir);
+  if (shard::IsShardedDir(dir)) return RecoverSharded(dir);
   size_t dim = 0;
   if (const char* d = FlagValue(argc, argv, "--dim")) {
     dim = std::strtoul(d, nullptr, 10);
@@ -779,7 +753,7 @@ int Rebalance(int argc, char** argv) {
     return 2;
   }
   const std::string dir = argv[2];
-  if (!IsShardedDir(dir)) {
+  if (!shard::IsShardedDir(dir)) {
     std::fprintf(stderr, "%s is not a sharded index directory (no %s)\n",
                  dir.c_str(), shard::kShardManifestFileName);
     return 2;

@@ -24,12 +24,13 @@
 
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 
 #include "common/metrics.h"
 #include "nncell/nncell_index.h"
 #include "server/server.h"
-#include "shard/shard_format.h"
+#include "shard/shard_manifest.h"
 #include "shard/sharded_index.h"
 #include "storage/fs_util.h"
 
@@ -46,51 +47,6 @@ const char* FlagValue(int argc, char** argv, const char* name) {
   }
   return nullptr;
 }
-
-// server::IndexBackend over a plain NNCellIndex (the daemon always talks
-// to the server through a backend so the two index kinds share one code
-// path below).
-class PlainBackend : public server::IndexBackend {
- public:
-  explicit PlainBackend(NNCellIndex* index) : index_(index) {}
-  size_t dim() const override { return index_->dim(); }
-  bool durable() const override { return index_->durable(); }
-  StatusOr<std::vector<NNCellIndex::QueryResult>> QueryBatch(
-      const PointSet& queries, const ApproxOptions& approx) const override {
-    return index_->QueryBatch(queries, approx);
-  }
-  StatusOr<uint64_t> Insert(const std::vector<double>& point) override {
-    return index_->Insert(point);
-  }
-  Status Delete(uint64_t id) override { return index_->Delete(id); }
-  Status Checkpoint() override { return index_->Checkpoint(); }
-
- private:
-  NNCellIndex* const index_;
-};
-
-// server::IndexBackend over a ShardedIndex: scatter-gather queries,
-// routed writes, checkpoint across every shard, and the STATS_JSON
-// "shard" object.
-class ShardedBackend : public server::IndexBackend {
- public:
-  explicit ShardedBackend(ShardedIndex* index) : index_(index) {}
-  size_t dim() const override { return index_->dim(); }
-  bool durable() const override { return index_->durable(); }
-  StatusOr<std::vector<NNCellIndex::QueryResult>> QueryBatch(
-      const PointSet& queries, const ApproxOptions& approx) const override {
-    return index_->QueryBatch(queries, approx);
-  }
-  StatusOr<uint64_t> Insert(const std::vector<double>& point) override {
-    return index_->Insert(point);
-  }
-  Status Delete(uint64_t id) override { return index_->Delete(id); }
-  Status Checkpoint() override { return index_->Checkpoint(); }
-  std::string ShardStatsJson() const override { return index_->StatsJson(); }
-
- private:
-  ShardedIndex* const index_;
-};
 
 }  // namespace
 
@@ -155,15 +111,12 @@ int main(int argc, char** argv) {
   }
 
   // A shard.manifest in the directory (or an explicit --shards when
-  // creating fresh) selects the sharded backend; either way the wire
+  // creating fresh) selects the sharded index; either way the wire
   // protocol and drain behavior are identical.
-  const bool sharded =
-      shards > 0 ||
-      fs::PathExists(shard::JoinPath(dir, shard::kShardManifestFileName));
+  const bool sharded = shards > 0 || shard::IsShardedDir(dir);
 
-  std::unique_ptr<NNCellIndex> plain_index;
-  std::unique_ptr<ShardedIndex> sharded_index;
-  std::unique_ptr<server::IndexBackend> backend;
+  std::unique_ptr<SearchIndex> index;
+  size_t num_shards = 0;
   uint64_t wal_replayed = 0;
   if (sharded) {
     ShardedOptions shopt;
@@ -176,21 +129,20 @@ int main(int argc, char** argv) {
                    idx.status().ToString().c_str());
       return 1;
     }
-    sharded_index = std::move(*idx);
-    if (sharded_index->degraded()) {
+    if ((*idx)->degraded()) {
       // Serving would silently answer from a subset of the data; make the
       // operator run the recovery runbook (docs/SHARDING.md) instead.
       std::fprintf(stderr,
                    "nncell_server: %zu of %zu shards failed to open; "
                    "run `nncell_cli recover %s` and restore the damaged "
                    "shard(s) before serving\n",
-                   sharded_index->degraded_shards(),
-                   sharded_index->num_shards(), dir.c_str());
+                   (*idx)->degraded_shards(), (*idx)->num_shards(),
+                   dir.c_str());
       return 1;
     }
+    num_shards = (*idx)->num_shards();
     wal_replayed = info.router_records_replayed;
-    if (threads != 1) sharded_index->SetNumThreads(threads);
-    backend = std::make_unique<ShardedBackend>(sharded_index.get());
+    index = std::move(*idx);
   } else {
     NNCellIndex::RecoveryInfo info;
     auto idx = NNCellIndex::Open(dir, dim, NNCellOptions(),
@@ -200,21 +152,18 @@ int main(int argc, char** argv) {
                    idx.status().ToString().c_str());
       return 1;
     }
-    plain_index = std::move(*idx);
     wal_replayed = info.wal_records_replayed;
-    if (threads != 1) plain_index->SetNumThreads(threads);
-    backend = std::make_unique<PlainBackend>(plain_index.get());
+    index = std::move(*idx);
   }
+  if (threads != 1) index->SetNumThreads(threads);
   metrics::Registry::SetEnabled(metrics_on);
 
   // Snapshot recovered state before Start(): once the dispatcher runs,
   // the index belongs to it and main must not touch it until Stop().
-  const size_t recovered_points =
-      sharded ? sharded_index->size() : plain_index->size();
-  const size_t recovered_dim =
-      sharded ? sharded_index->dim() : plain_index->dim();
+  const size_t recovered_points = index->size();
+  const size_t recovered_dim = index->dim();
 
-  server::NNCellServer srv(backend.get(), sopt);
+  server::NNCellServer srv(index.get(), sopt);
   Status st = srv.Start();
   if (!st.ok()) {
     std::fprintf(stderr, "nncell_server: start failed: %s\n",
@@ -225,7 +174,7 @@ int main(int argc, char** argv) {
       "READY dir=%s points=%zu dim=%zu shards=%zu wal_replayed=%llu "
       "socket=%s tcp_port=%d\n",
       dir.c_str(), recovered_points, recovered_dim,
-      sharded ? sharded_index->num_shards() : size_t{0},
+      num_shards,
       static_cast<unsigned long long>(wal_replayed),
       sopt.socket_path.empty() ? "-" : sopt.socket_path.c_str(),
       sopt.tcp_port);
