@@ -2,7 +2,8 @@
 // (docs/APPROXIMATE.md): sweeps the certified-epsilon knob and the
 // bounded-effort leaf-visit budget at d = {2, 8, 16} against a
 // sequential-scan oracle, and emits one JSON document that
-// tools/bench_recall.sh gates against the committed BENCH_recall.json.
+// `tools/bench_gate.py run recall` gates against the committed
+// BENCH_recall.json.
 //
 // Gated fields are deterministic integers only: the recall@1 / recall@10
 // hit counts of every sweep point, the exact-mode bit-identity counter

@@ -1,12 +1,12 @@
 // LP hot-path regression bench: full NN-cell BulkBuild runs comparing the
-// pre-PR solver configuration ("baseline": cold face solves over the
-// unpruned constraint system) against the optimized pipeline ("optimized":
-// bisector pre-pruning + ray-shoot warm starts). Emits one JSON document
-// with wall-clock and the deterministic LP counters; tools/bench_regress.sh
-// gates pull requests on the committed BENCH_lp.json baseline.
+// cold solver configuration ("baseline": every face solved from the cold
+// start) against the optimized pipeline ("optimized": ray-shoot warm
+// starts). Emits one JSON document with wall-clock and the deterministic
+// LP counters; `tools/bench_gate.py run lp` gates changes on the committed
+// BENCH_lp.json baseline.
 //
-// The counters (lp_runs, lp_iterations, constraint_rows, pruned_rows and
-// the face-kind breakdown) are a pure function of the config and seed, so
+// The counters (lp_runs, lp_iterations, constraint_rows and the face-kind
+// breakdown) are a pure function of the config and seed, so
 // the regression gate is machine-independent; wall-clock is recorded for
 // the human reader and the speedup headline, not for gating.
 
@@ -55,7 +55,6 @@ ModeResult RunBuild(const PointSet& pts, const RegressConfig& cfg,
                     bool optimized) {
   NNCellOptions options;
   options.algorithm = cfg.algorithm;
-  options.approx.prune_bisectors = optimized;
   options.approx.warm_start = optimized;
 
   // The LP counters are a pure function of the config; wall-clock is not,
@@ -80,12 +79,10 @@ void PrintMode(FILE* out, const char* key, const ModeResult& r) {
   std::fprintf(out,
                "      \"%s\": {\"build_seconds\": %.6f, \"lp_runs\": %zu, "
                "\"lp_iterations\": %zu, \"lp_failures\": %zu, "
-               "\"constraint_rows\": %zu, \"pruned_rows\": %zu, "
-               "\"skipped_faces\": %zu, \"warm_faces\": %zu, "
-               "\"cold_faces\": %zu}",
+               "\"constraint_rows\": %zu, \"skipped_faces\": %zu, "
+               "\"warm_faces\": %zu, \"cold_faces\": %zu}",
                key, r.build_seconds, s.lp_runs, s.lp_iterations, s.lp_failures,
-               s.constraint_rows, s.pruned_rows, s.skipped_faces, s.warm_faces,
-               s.cold_faces);
+               s.constraint_rows, s.skipped_faces, s.warm_faces, s.cold_faces);
 }
 
 int Main(int argc, char** argv) {
@@ -147,12 +144,10 @@ int Main(int argc, char** argv) {
 
     std::fprintf(stderr,
                  "%-24s wall %.3fs -> %.3fs (%.2fx)  iters %zu -> %zu "
-                 "(%.2fx)  pruned %zu/%zu  faces skip/warm/cold %zu/%zu/%zu\n",
+                 "(%.2fx)  faces skip/warm/cold %zu/%zu/%zu\n",
                  cfg.name, base.build_seconds, opt.build_seconds, speedup,
                  base.stats.lp_iterations, opt.stats.lp_iterations,
-                 iter_reduction, opt.stats.pruned_rows,
-                 opt.stats.pruned_rows + opt.stats.constraint_rows,
-                 opt.stats.skipped_faces, opt.stats.warm_faces,
+                 iter_reduction, opt.stats.skipped_faces, opt.stats.warm_faces,
                  opt.stats.cold_faces);
   }
   std::fprintf(out, "\n  ]\n}\n");

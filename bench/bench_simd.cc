@@ -2,8 +2,8 @@
 // store and the LP panel kernels, scalar table vs the dispatched table.
 // Emits one JSON document with wall-clock, the active dispatch level, and
 // deterministic counters (distance evaluations + a bit-fold checksum of
-// every computed double); tools/bench_simd.sh gates pull requests on the
-// committed BENCH_simd.json baseline.
+// every computed double); `tools/bench_gate.py run simd` gates changes on
+// the committed BENCH_simd.json baseline.
 //
 // The checksum and eval counts are a pure function of dim/n/seed and the
 // FP-determinism contract (docs/KERNELS.md): every dispatch level must

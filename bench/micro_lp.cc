@@ -44,12 +44,11 @@ BENCHMARK(BM_CellFaceLp)
     ->Args({16, 500})
     ->Args({16, 2000});
 
-// The full per-cell pipeline (pruner + ray-shoot session + 2d face
-// solves), cold vs optimized, cycling through the owners of one point set.
+// The full per-cell pipeline (ray-shoot session + 2d face solves), cold
+// vs optimized, cycling through the owners of one point set.
 // Beyond wall time the counters report the hot-path health metrics:
 //   warm_hit_rate  -- fraction of faces answered without a cold solve
 //                     (certified-skip or warm-started),
-//   pruned_frac    -- fraction of bisector rows dropped before any LP ran,
 //   iters_per_face -- LP iterations averaged over all faces (skipped
 //                     faces count as 0, which is the point).
 void BM_CellMbrPipeline(benchmark::State& state) {
@@ -64,7 +63,6 @@ void BM_CellMbrPipeline(benchmark::State& state) {
     pts.Add(p);
   }
   CellApproxOptions opts;
-  opts.prune_bisectors = optimized;
   opts.warm_start = optimized;
   CellApproximator approx(dim, HyperRect::UnitCube(dim), LpOptions(), opts);
   ApproxStats stats;
@@ -82,14 +80,10 @@ void BM_CellMbrPipeline(benchmark::State& state) {
   const double faces = static_cast<double>(stats.skipped_faces +
                                            stats.warm_faces +
                                            stats.cold_faces);
-  const double rows =
-      static_cast<double>(stats.constraint_rows + stats.pruned_rows);
   state.counters["warm_hit_rate"] =
       faces > 0.0 ? static_cast<double>(stats.skipped_faces +
                                         stats.warm_faces) / faces
                   : 0.0;
-  state.counters["pruned_frac"] =
-      rows > 0.0 ? static_cast<double>(stats.pruned_rows) / rows : 0.0;
   state.counters["iters_per_face"] =
       faces > 0.0 ? static_cast<double>(stats.lp_iterations) / faces : 0.0;
 }

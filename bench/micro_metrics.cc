@@ -83,7 +83,6 @@ void BM_CellMbrPipeline(benchmark::State& state) {
     pts.Add(p);
   }
   CellApproxOptions opts;
-  opts.prune_bisectors = true;
   opts.warm_start = true;
   CellApproximator approx(dim, HyperRect::UnitCube(dim), LpOptions(), opts);
   ApproxStats stats;

@@ -61,7 +61,6 @@ inline constexpr char kLpRuns[] = "lp.solver.runs";
 inline constexpr char kLpIterations[] = "lp.solver.iterations";
 inline constexpr char kLpFailures[] = "lp.solver.failures";
 inline constexpr char kLpConstraintRows[] = "lp.rows.entered";
-inline constexpr char kLpPrunedRows[] = "lp.rows.pruned";
 inline constexpr char kLpFacesSkipped[] = "lp.faces.skipped";
 inline constexpr char kLpFacesWarm[] = "lp.faces.warm";
 inline constexpr char kLpFacesCold[] = "lp.faces.cold";
@@ -169,8 +168,6 @@ inline constexpr MetricDef kMetricDefs[] = {
      "faces that fell back to the data-space bound"},
     {kLpConstraintRows, Kind::kCounter, "rows",
      "bisector rows that entered LP systems"},
-    {kLpPrunedRows, Kind::kCounter, "rows",
-     "bisector rows discarded by the pruner before any LP ran"},
     {kLpFacesSkipped, Kind::kCounter, "faces",
      "faces certified by the axis ray-shoot (0 LP iterations)"},
     {kLpFacesWarm, Kind::kCounter, "faces",

@@ -1,53 +1,8 @@
 #include "geom/bisector.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/distance.h"
-#include "common/kernels/kernels.h"
 
 namespace nncell {
-
-namespace {
-
-// Fills the bisector row of (owner, other): a = 2 (other - owner),
-// b = |other|^2 - |owner|^2.
-inline double FillBisectorRow(const double* owner, const double* other,
-                              size_t dim, double* a) {
-  for (size_t i = 0; i < dim; ++i) a[i] = 2.0 * (other[i] - owner[i]);
-  return L2NormSq(other, dim) - L2NormSq(owner, dim);
-}
-
-// Shrinks `rect` to (a superset of) the MBR of rect intersect {a.x <= b}.
-// Per dimension i the extreme of x_i over the intersection is obtained by
-// pushing every other coordinate to the corner that minimizes a_k x_k, in
-// closed form; using the pre-update interval of the other dimensions only
-// loosens the bound, so the shave stays an outer bound mid-pass. Returns
-// false when the rectangle becomes empty.
-bool TightenByHalfspace(const double* a, double b, size_t dim,
-                        HyperRect* rect) {
-  double total = 0.0;
-  for (size_t k = 0; k < dim; ++k) {
-    total += std::min(a[k] * rect->lo(k), a[k] * rect->hi(k));
-  }
-  for (size_t i = 0; i < dim; ++i) {
-    if (a[i] == 0.0) continue;
-    double rest = total - std::min(a[i] * rect->lo(i), a[i] * rect->hi(i));
-    double bound = (b - rest) / a[i];
-    // Pad outward so floating-point error never shaves a sliver of the
-    // true cell away (the bound must stay conservative).
-    double pad = 1e-12 * (1.0 + std::abs(bound));
-    if (a[i] > 0.0) {
-      rect->hi(i) = std::min(rect->hi(i), bound + pad);
-    } else {
-      rect->lo(i) = std::max(rect->lo(i), bound - pad);
-    }
-    if (rect->lo(i) > rect->hi(i)) return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 void AddBisectorConstraint(const double* owner, const double* other,
                            size_t dim, LpProblem* problem) {
@@ -82,108 +37,6 @@ bool IsInCell(const double* x, const double* owner,
     if (L2DistSq(x, other, dim) < d_own) return false;
   }
   return true;
-}
-
-size_t BisectorPruner::BuildPruned(const double* owner,
-                                   const std::vector<const double*>& candidates,
-                                   size_t dim, const HyperRect& box,
-                                   LpProblem* problem, const HyperRect* clip) {
-  const size_t m = candidates.size();
-  const size_t num_seeds = std::min(m, 4 * dim);
-  row_.resize(dim);
-
-  HyperRect start_bound =
-      clip != nullptr ? HyperRect::Intersection(box, *clip) : box;
-
-  // Too few rows to be worth a pruning pass: emit the plain system.
-  if (m <= num_seeds || start_bound.IsEmpty()) {
-    BuildCellProblemInto(owner, candidates, dim, box, problem);
-    bound_ = box;
-    return 0;
-  }
-
-  // Candidate distances through the batched gather kernel, four rows per
-  // call; bit-equal to per-pair L2DistSq, so the seed selection (and with
-  // it the emitted constraint system) is dispatch-invariant.
-  by_dist_.resize(m);
-  {
-    size_t j = 0;
-    double d4[4];
-    for (; j + 4 <= m; j += 4) {
-      kernels::L2DistSqBatch4(owner, &candidates[j], dim, d4);
-      for (size_t t = 0; t < 4; ++t) by_dist_[j + t] = {d4[t], j + t};
-    }
-    for (; j < m; ++j) {
-      by_dist_[j] = {L2DistSq(candidates[j], owner, dim), j};
-    }
-  }
-  std::nth_element(by_dist_.begin(), by_dist_.begin() + num_seeds - 1,
-                   by_dist_.end());
-  is_seed_.assign(m, 0);
-  for (size_t s = 0; s < num_seeds; ++s) is_seed_[by_dist_[s].second] = 1;
-
-  // Tighten the outer bound by the seed half-spaces. Two passes: the
-  // second pass re-shaves each seed against the already-shrunk rectangle.
-  bound_ = start_bound;
-  bool ok = true;
-  for (int pass = 0; pass < 2 && ok; ++pass) {
-    for (size_t s = 0; s < num_seeds && ok; ++s) {
-      const double* other = candidates[by_dist_[s].second];
-      double b = FillBisectorRow(owner, other, dim, row_.data());
-      ok = TightenByHalfspace(row_.data(), b, dim, &bound_);
-    }
-  }
-  if (!ok) {
-    // The outer bound collapsed (only reachable under a tight clip box
-    // whose slice misses the cell). Back off to the unpruned system so the
-    // empty/non-empty decision stays with the phase-I LP, exactly as in
-    // the cold pipeline.
-    BuildCellProblemInto(owner, candidates, dim, box, problem);
-    bound_ = box;
-    return 0;
-  }
-
-  problem->Reserve(num_seeds + 2 * dim + 16);
-  problem->AddBoxConstraints(box);
-  size_t pruned = 0;
-  size_t tested = 0;
-  // Redundancy testing pays O(d) per row; in high dimensions cells have so
-  // many true Voronoi neighbors that almost no row is redundant, and the
-  // whole pass is wasted work. Since pruning *fewer* rows is always sound,
-  // the pass self-disables when the observed prune rate over a first batch
-  // of rows is negligible (deterministic: rows are visited in order).
-  constexpr size_t kProbeRows = 128;
-  bool testing = true;
-  size_t j = 0;
-  for (; j < m && testing; ++j) {
-    double b = FillBisectorRow(owner, candidates[j], dim, row_.data());
-    if (tested >= kProbeRows && pruned * 32 < tested) {
-      testing = false;
-    } else if (!is_seed_[j]) {
-      ++tested;
-      double reach = 0.0;   // max_{x in R} a . x
-      double abs_sum = 0.0;  // magnitude scale of that maximum
-      for (size_t k = 0; k < dim; ++k) {
-        double t_lo = row_[k] * bound_.lo(k);
-        double t_hi = row_[k] * bound_.hi(k);
-        reach += std::max(t_lo, t_hi);
-        abs_sum += std::max(std::abs(t_lo), std::abs(t_hi));
-      }
-      double margin = 1e-9 * (1.0 + std::abs(b) + abs_sum);
-      if (reach <= b - margin) {
-        ++pruned;
-        continue;
-      }
-    }
-    double* row = problem->AppendRow(b);
-    std::copy(row_.begin(), row_.end(), row);
-  }
-  // Testing self-disabled: emit the remaining rows straight into the packed
-  // matrix (no staging buffer).
-  for (; j < m; ++j) {
-    AddBisectorConstraint(owner, candidates[j], dim, problem);
-  }
-  return pruned;
 }
 
 }  // namespace nncell

@@ -2,7 +2,6 @@
 #define NNCELL_GEOM_BISECTOR_H_
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "common/hyper_rect.h"
@@ -14,8 +13,7 @@ namespace nncell {
 // P_j". For the Euclidean metric, d(x,P) <= d(x,P_j) is the linear
 // constraint
 //     2 (P_j - P) . x  <=  |P_j|^2 - |P|^2 .
-// This file turns points into those LP rows -- and, before any LP runs,
-// discards the rows that provably cannot touch the cell.
+// This file turns points into those LP rows.
 
 // Appends the bisector half-space row of (owner, other) to `problem`.
 void AddBisectorConstraint(const double* owner, const double* other,
@@ -38,62 +36,6 @@ void BuildCellProblemInto(const double* owner,
 // every candidate (i.e. x lies in the cell induced by the candidate set).
 bool IsInCell(const double* x, const double* owner,
               const std::vector<const double*>& candidates, size_t dim);
-
-// Conservative bisector pre-pruning (the hyperbox-covering observation of
-// Inkulu & Kapoor applied to Definition 3): under the kCorrect strategy
-// every face solve iterates over all N-1 bisector rows, yet only the few
-// bisectors of near neighbors can intersect the cell at all. The pruner
-//
-//   1. fixes a *seed set* S of the 4d candidates nearest to the owner --
-//      seeds are never pruned;
-//   2. tightens an outer bound R of the cell, starting from the data-space
-//      box and clipping, per dimension, to the MBR of R intersected with
-//      each seed half-space (a closed-form O(d) shave per seed row);
-//   3. drops every non-seed row whose half-space contains all of R.
-//
-// Soundness (why Lemma 1 survives): R only ever shrinks through boxes
-// that contain cell = box intersect all half-spaces, so cell subset R at
-// every step. The pruned feasible region P' keeps the box rows and all of
-// S, hence P' subset R as well (R was tightened using only kept rows).
-// A dropped row j satisfied max_{x in R} a_j.x <= b_j - margin, so its
-// half-space contains R, which contains P': adding row j back would change
-// nothing. The pruned and unpruned systems therefore describe the *same*
-// polytope, and every MBR face value is identical -- not merely an
-// enlargement. The margin absorbs the floating-point error of the
-// closed-form maxima, keeping "provably redundant" conservative.
-//
-// In high dimensions nearly every candidate is a true Voronoi neighbor and
-// almost nothing is redundant, so the redundancy test itself self-disables:
-// after probing a first batch of rows, a negligible observed prune rate
-// stops further testing and the remaining rows are emitted untested.
-// Pruning fewer rows is always sound, and the decision depends only on the
-// fixed candidate order, so builds stay deterministic.
-class BisectorPruner {
- public:
-  // Appends the cell system of `owner` into `problem` (already Reset to
-  // `dim`): the 2d box rows of `box` first, then the surviving bisector
-  // rows in candidate order. Returns the number of pruned rows. A non-null
-  // `clip` (the decomposition's slice box) additionally tightens the outer
-  // bound to box intersect clip -- sound because the caller's system also
-  // carries the clip rows; the clip rows themselves are NOT emitted here,
-  // the caller appends them to preserve the unpruned row layout. When the
-  // outer bound collapses to empty (possible under a tight clip box), the
-  // pruner backs off and emits the full system -- behavior then matches
-  // the unpruned pipeline exactly.
-  size_t BuildPruned(const double* owner,
-                     const std::vector<const double*>& candidates, size_t dim,
-                     const HyperRect& box, LpProblem* problem,
-                     const HyperRect* clip = nullptr);
-
-  // The outer bound R computed by the last BuildPruned call (tests).
-  const HyperRect& outer_bound() const { return bound_; }
-
- private:
-  HyperRect bound_;
-  std::vector<std::pair<double, size_t>> by_dist_;  // (dist^2, candidate)
-  std::vector<char> is_seed_;
-  std::vector<double> row_;
-};
 
 }  // namespace nncell
 

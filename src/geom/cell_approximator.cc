@@ -25,12 +25,11 @@ const char* ApproxAlgorithmName(ApproxAlgorithm a) {
 namespace {
 
 // Per-thread pipeline scratch: the face-solve session (packed problem,
-// solver workspace, warm chain, phase-I system), the pruner, and the
-// objective vector. One high-water allocation per worker thread; warm
-// state is reset per cell, so results stay a pure function of the cell.
+// solver workspace, warm chain, phase-I system) and the objective vector.
+// One high-water allocation per worker thread; warm state is reset per
+// cell, so results stay a pure function of the cell.
 struct ApproxScratch {
   FaceSolveSession session;
-  BisectorPruner pruner;
   std::vector<double> c;
 };
 
@@ -47,7 +46,6 @@ struct LpMetrics {
   metrics::Counter* iterations;
   metrics::Counter* failures;
   metrics::Counter* rows_entered;
-  metrics::Counter* rows_pruned;
   metrics::Counter* faces_skipped;
   metrics::Counter* faces_warm;
   metrics::Counter* faces_cold;
@@ -59,7 +57,6 @@ struct LpMetrics {
       metrics::Registry::Global().counter(metrics::kLpIterations),
       metrics::Registry::Global().counter(metrics::kLpFailures),
       metrics::Registry::Global().counter(metrics::kLpConstraintRows),
-      metrics::Registry::Global().counter(metrics::kLpPrunedRows),
       metrics::Registry::Global().counter(metrics::kLpFacesSkipped),
       metrics::Registry::Global().counter(metrics::kLpFacesWarm),
       metrics::Registry::Global().counter(metrics::kLpFacesCold),
@@ -158,18 +155,9 @@ HyperRect CellApproximator::ApproximateMbr(
   ApproxScratch& sc = LocalScratch();
   LpProblem& problem = sc.session.problem();
   problem.Reset(dim_);
-  size_t pruned = 0;
-  if (approx_opts_.prune_bisectors) {
-    pruned = sc.pruner.BuildPruned(owner, candidates, dim_, space_, &problem);
-  } else {
-    BuildCellProblemInto(owner, candidates, dim_, space_, &problem);
-  }
-  if (stats) {
-    stats->constraint_rows += candidates.size() - pruned;
-    stats->pruned_rows += pruned;
-  }
-  NNCELL_METRIC_COUNT(Metrics().rows_entered, candidates.size() - pruned);
-  NNCELL_METRIC_COUNT(Metrics().rows_pruned, pruned);
+  BuildCellProblemInto(owner, candidates, dim_, space_, &problem);
+  if (stats) stats->constraint_rows += candidates.size();
+  NNCELL_METRIC_COUNT(Metrics().rows_entered, candidates.size());
   std::vector<double>& start = sc.session.start_buffer();
   start.assign(owner, owner + dim_);
   return SolveMbr(problem, start, stats);
@@ -181,20 +169,10 @@ HyperRect CellApproximator::ApproximateClippedMbr(
   ApproxScratch& sc = LocalScratch();
   LpProblem& problem = sc.session.problem();
   problem.Reset(dim_);
-  size_t pruned = 0;
-  if (approx_opts_.prune_bisectors) {
-    pruned = sc.pruner.BuildPruned(owner, candidates, dim_, space_, &problem,
-                                   &clip);
-  } else {
-    BuildCellProblemInto(owner, candidates, dim_, space_, &problem);
-  }
+  BuildCellProblemInto(owner, candidates, dim_, space_, &problem);
   problem.AddBoxConstraints(clip);
-  if (stats) {
-    stats->constraint_rows += candidates.size() - pruned;
-    stats->pruned_rows += pruned;
-  }
-  NNCELL_METRIC_COUNT(Metrics().rows_entered, candidates.size() - pruned);
-  NNCELL_METRIC_COUNT(Metrics().rows_pruned, pruned);
+  if (stats) stats->constraint_rows += candidates.size();
+  NNCELL_METRIC_COUNT(Metrics().rows_entered, candidates.size());
 
   // The owner is feasible for its cell but maybe not for the clip box:
   // clamp it into the box as a phase-I hint.

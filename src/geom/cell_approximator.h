@@ -24,15 +24,11 @@ enum class ApproxAlgorithm { kCorrect, kPoint, kSphere, kNNDirection };
 
 const char* ApproxAlgorithmName(ApproxAlgorithm a);
 
-// Build-pipeline knobs of the LP hot path. Both default on; both preserve
-// the computed MBRs (pruning keeps the feasible region identical, warm
-// starting only changes the path the solver walks to the same optimum) and
-// exist as flags for A/B benchmarks and differential tests against the
-// cold pipeline.
+// Build-pipeline knobs of the LP hot path. The knob defaults on and
+// preserves the computed MBRs (warm starting only changes the path the
+// solver walks to the same optimum); it exists as a flag for A/B
+// benchmarks and differential tests against the cold pipeline.
 struct CellApproxOptions {
-  // Drop bisector rows that provably cannot touch the cell before any LP
-  // runs (BisectorPruner).
-  bool prune_bisectors = true;
   // Run the per-cell axis ray-shoot (FaceSolveSession::PrepareFaces): one
   // matrix pass that certifies box-capped faces outright (no LP) and
   // warm-starts the remaining faces at their first blocking row.
@@ -46,7 +42,6 @@ struct ApproxStats {
   size_t lp_iterations = 0;
   size_t lp_failures = 0;      // faces that fell back to the space bound
   size_t constraint_rows = 0;  // bisector rows that entered LP systems
-  size_t pruned_rows = 0;      // bisector rows discarded before any LP ran
   size_t skipped_faces = 0;    // faces certified by the ray-shoot (no LP)
   size_t warm_faces = 0;       // face solves warm-started at the ray hit
   size_t cold_faces = 0;       // face solves started cold
@@ -56,7 +51,6 @@ struct ApproxStats {
     lp_iterations += o.lp_iterations;
     lp_failures += o.lp_failures;
     constraint_rows += o.constraint_rows;
-    pruned_rows += o.pruned_rows;
     skipped_faces += o.skipped_faces;
     warm_faces += o.warm_faces;
     cold_faces += o.cold_faces;

@@ -85,9 +85,9 @@ struct NNCellOptions {
 
   LpOptions lp;
 
-  // LP hot-path pipeline knobs (bisector pre-pruning, warm-started face
-  // solves). Runtime-only like `lp`: both settings yield the same MBRs, so
-  // neither is part of the persisted image.
+  // LP hot-path pipeline knob (warm-started face solves). Runtime-only
+  // like `lp`: either setting yields the same MBRs, so it is not part of
+  // the persisted image.
   CellApproxOptions approx;
 
   // Threading for BulkBuild / QueryBatch. Purely a runtime knob: the

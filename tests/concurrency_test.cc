@@ -139,16 +139,15 @@ TEST(BuildDeterminismTest, HoldsForRStarAndDecomposedVariants) {
 }
 
 TEST(BuildDeterminismTest, LpHotPathOptimizationsAreThreadCountInvariant) {
-  // The optimized LP pipeline (bisector pre-pruning + ray-shoot warm
-  // starts) keeps all of its state per cell, so it must not perturb the
-  // byte-identity contract; the cold configuration is pinned alongside it
-  // so a regression is attributable to one pipeline. kCorrect at d = 16
+  // The optimized LP pipeline (ray-shoot warm starts) keeps all of its
+  // state per cell, so it must not perturb the byte-identity contract; the
+  // cold configuration is pinned alongside it so a regression is
+  // attributable to one pipeline. kCorrect at d = 16
   // maximizes both the skipped-face rate and the constraint-row count.
   PointSet pts = GenerateUniform(160, 16, 29);
   for (bool optimized : {true, false}) {
     NNCellOptions options;
     options.algorithm = ApproxAlgorithm::kCorrect;
-    options.approx.prune_bisectors = optimized;
     options.approx.warm_start = optimized;
     std::string serial;
     for (size_t threads : {1u, 2u, 8u}) {

@@ -1,20 +1,15 @@
-// Property suite for the optimized LP hot path (bisector pre-pruning and
-// ray-shoot warm starts, PR: LP hot-path overhaul). The optimizations
-// promise *exact* equivalence, not an enlargement: the pruned system
-// describes the same polytope as the full one, and warm/skipped face
-// solves reach the same optimum as the seed's cold solver. The suites
-// here hold the pipeline to that promise:
+// Property suite for the optimized LP hot path (ray-shoot warm starts).
+// The optimization promises *exact* equivalence, not an enlargement:
+// warm/skipped face solves reach the same optimum as the seed's cold
+// solver. The suites here hold the pipeline to that promise:
 //
 //   * face-value equivalence of the optimized vs cold pipeline across all
 //     four ApproxAlgorithms and d in {2, 4, 8, 16}, at the index level;
-//   * a randomized pruning audit over > 1000 cells (uniform and clustered
-//     data) requiring zero face mismatches;
 //   * an explicit lp::AuditSolution (feasibility + KKT) pass over every
 //     face the optimized pipeline emits, covering the skipped, warm and
 //     cold answer paths;
 //   * unit tests of the FaceSolveSession ray-shoot itself.
 
-#include <cmath>
 #include <cstddef>
 #include <memory>
 #include <vector>
@@ -44,7 +39,6 @@ constexpr double kFaceTol = 1e-9;
 
 CellApproxOptions ColdOptions() {
   CellApproxOptions o;
-  o.prune_bisectors = false;
   o.warm_start = false;
   return o;
 }
@@ -121,57 +115,6 @@ INSTANTIATE_TEST_SUITE_P(Dims, LpPipelineEquivalenceTest,
                          ::testing::Values(2u, 4u, 8u, 16u));
 
 // ---------------------------------------------------------------------------
-// Randomized pruning audit: > 1000 cells, zero face mismatches allowed.
-// Pruning runs alone (warm starts off) so a mismatch here indicts the
-// pruner specifically, and the audit spans uniform and clustered layouts
-// (clusters make bisector rows far more redundant, the pruner's best and
-// therefore riskiest regime).
-
-TEST(BisectorPrunerAuditTest, RandomizedThousandCellAuditHasZeroMismatches) {
-  CellApproxOptions prune_only;
-  prune_only.warm_start = false;
-
-  size_t cells = 0;
-  size_t mismatches = 0;
-  size_t cells_with_pruning = 0;
-  for (size_t d : {2u, 4u, 8u, 16u}) {
-    for (int layout = 0; layout < 2; ++layout) {
-      const uint64_t seed = 7000 + 10 * d + layout;
-      const PointSet pts = layout == 0
-                               ? GenerateUniform(135, d, seed)
-                               : GenerateClusters(135, d, /*clusters=*/6,
-                                                  /*stddev=*/0.05, seed);
-      CellApproximator pruned(d, HyperRect::UnitCube(d), LpOptions(),
-                              prune_only);
-      CellApproximator cold(d, HyperRect::UnitCube(d), LpOptions(),
-                            ColdOptions());
-      for (size_t owner = 0; owner < pts.size(); ++owner) {
-        auto others = AllOthers(pts, owner);
-        ApproxStats stats;
-        HyperRect a = pruned.ApproximateMbr(pts[owner], others, &stats);
-        HyperRect b = cold.ApproximateMbr(pts[owner], others);
-        ++cells;
-        if (stats.pruned_rows > 0) ++cells_with_pruning;
-        for (size_t k = 0; k < d; ++k) {
-          if (std::abs(a.lo(k) - b.lo(k)) > kFaceTol ||
-              std::abs(a.hi(k) - b.hi(k)) > kFaceTol) {
-            ++mismatches;
-            ADD_FAILURE() << "cell " << owner << " d=" << d << " layout "
-                          << layout << " dim " << k << ": pruned ["
-                          << a.lo(k) << ", " << a.hi(k) << "] vs cold ["
-                          << b.lo(k) << ", " << b.hi(k) << "]";
-          }
-        }
-      }
-    }
-  }
-  EXPECT_GE(cells, 1000u);
-  EXPECT_EQ(mismatches, 0u);
-  // The audit must have exercised real pruning, not 1000 vacuous passes.
-  EXPECT_GT(cells_with_pruning, 100u);
-}
-
-// ---------------------------------------------------------------------------
 // Explicit per-face KKT audit of the optimized pipeline. The approximator
 // DCHECK-audits faces in debug builds only; this test keeps the audit in
 // every build, and proves all three answer paths (skipped / warm / cold)
@@ -180,7 +123,6 @@ TEST(BisectorPrunerAuditTest, RandomizedThousandCellAuditHasZeroMismatches) {
 TEST(LpPipelineAuditTest, EveryOptimizedFacePassesFeasibilityAndKktAudit) {
   size_t skipped = 0, warm = 0, cold = 0;
   FaceSolveSession session;
-  BisectorPruner pruner;
   for (size_t d : {2u, 4u, 8u, 16u}) {
     const PointSet pts = GenerateUniform(90, d, 4321 + d);
     const HyperRect space = HyperRect::UnitCube(d);
@@ -188,7 +130,7 @@ TEST(LpPipelineAuditTest, EveryOptimizedFacePassesFeasibilityAndKktAudit) {
       auto others = AllOthers(pts, owner);
       LpProblem& problem = session.problem();
       problem.Reset(d);
-      pruner.BuildPruned(pts[owner], others, d, space, &problem);
+      BuildCellProblemInto(pts[owner], others, d, space, &problem);
       std::vector<double> start(pts[owner], pts[owner] + d);
       session.BeginCell(/*warm_start=*/true);
       session.PrepareFaces(problem, start);
@@ -344,38 +286,6 @@ TEST(FaceSolveSessionTest, BeginCellResetsPreparedStateBetweenCells) {
         EXPECT_EQ(a.iterations, b.iterations);
       }
       c[i] = 0.0;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Pruner outer bound: R must contain the computed MBR (the soundness
-// argument rests on cell subset R throughout the shave).
-
-TEST(BisectorPrunerTest, OuterBoundContainsComputedMbr) {
-  Rng rng(2468);
-  BisectorPruner pruner;
-  for (int trial = 0; trial < 20; ++trial) {
-    const size_t d = 2 + rng.NextIndex(7);
-    PointSet pts(d);
-    const size_t n = 40 + rng.NextIndex(60);
-    for (size_t i = 0; i < n; ++i) {
-      std::vector<double> p(d);
-      for (auto& v : p) v = rng.NextDouble();
-      pts.Add(p);
-    }
-    const size_t owner = rng.NextIndex(n);
-    auto others = AllOthers(pts, owner);
-    LpProblem problem(d);
-    pruner.BuildPruned(pts[owner], others, d, HyperRect::UnitCube(d),
-                       &problem);
-    CellApproximator cold(d, HyperRect::UnitCube(d), LpOptions(),
-                          ColdOptions());
-    HyperRect mbr = cold.ApproximateMbr(pts[owner], others);
-    const HyperRect& bound = pruner.outer_bound();
-    for (size_t k = 0; k < d; ++k) {
-      EXPECT_LE(bound.lo(k), mbr.lo(k) + kFaceTol) << "dim " << k;
-      EXPECT_GE(bound.hi(k), mbr.hi(k) - kFaceTol) << "dim " << k;
     }
   }
 }
