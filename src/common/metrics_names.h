@@ -55,6 +55,10 @@ inline constexpr char kIndexNodeVisits[] = "index.tree.node_visits";
 inline constexpr char kIndexLeafVisits[] = "index.tree.leaf_visits";
 inline constexpr char kIndexNodeSplits[] = "index.tree.node_splits";
 inline constexpr char kIndexSupernodeEvents[] = "index.tree.supernode_events";
+inline constexpr char kIndexMaintCellsRecomputed[] =
+    "index.maint.cells_recomputed";
+inline constexpr char kIndexMaintCellsRewritten[] =
+    "index.maint.cells_rewritten";
 
 // --- lp (cell-approximation build pipeline) ------------------------------
 inline constexpr char kLpRuns[] = "lp.solver.runs";
@@ -160,6 +164,10 @@ inline constexpr MetricDef kMetricDefs[] = {
      "node splits executed on the insert path"},
     {kIndexSupernodeEvents, Kind::kCounter, "events",
      "X-tree supernode-growth decisions (split avoided)"},
+    {kIndexMaintCellsRecomputed, Kind::kCounter, "cells",
+     "existing cells recomputed by Insert/Delete maintenance"},
+    {kIndexMaintCellsRewritten, Kind::kCounter, "cells",
+     "recomputed cells whose rectangles changed and were rewritten"},
     {kLpRuns, Kind::kCounter, "solves",
      "LP face solves attempted (2d per cell minus certified skips)"},
     {kLpIterations, Kind::kCounter, "iterations",

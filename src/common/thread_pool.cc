@@ -7,6 +7,13 @@
 
 namespace nncell {
 
+namespace {
+
+// The pool whose worker loop runs on this thread; null on other threads.
+thread_local const ThreadPool* tls_worker_of = nullptr;
+
+}  // namespace
+
 ThreadPool::ThreadPool(size_t num_threads) {
   num_threads = std::max<size_t>(num_threads, 1);
   queues_.reserve(num_threads);
@@ -77,6 +84,7 @@ std::function<void()> ThreadPool::TryPop(size_t self) {
 }
 
 void ThreadPool::WorkerLoop(size_t self) {
+  tls_worker_of = this;
   for (;;) {
     if (std::function<void()> task = TryPop(self)) {
       task();
@@ -93,6 +101,10 @@ void ThreadPool::WorkerLoop(size_t self) {
 void ThreadPool::ParallelFor(size_t begin, size_t end,
                              const std::function<void(size_t)>& body) {
   if (end <= begin) return;
+  if (tls_worker_of == this) {
+    for (size_t i = begin; i < end; ++i) body(i);
+    return;
+  }
   const size_t n = end - begin;
   // More chunks than workers so stealing can rebalance uneven iteration
   // costs (LP solves vary a lot per point).

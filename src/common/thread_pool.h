@@ -15,18 +15,18 @@
 namespace nncell {
 
 // Small work-stealing thread pool for the parallel phases of the engine
-// (per-point LP fan-out during bulk builds, batched query execution).
-// Each worker owns a deque: new tasks are distributed round-robin, a
-// worker pops its own deque LIFO (cache-warm) and steals FIFO from its
-// siblings when empty. The pool is task-agnostic; determinism is the
-// caller's job (submit pure tasks that write to disjoint result slots and
-// commit in a fixed order afterwards).
+// (per-point LP fan-out during bulk builds, batched query execution,
+// cell recomputes of dynamic maintenance). Each worker owns a deque: new
+// tasks are distributed round-robin, a worker pops its own deque LIFO
+// (cache-warm) and steals FIFO from its siblings when empty. The pool is
+// task-agnostic; determinism is the caller's job (submit pure tasks that
+// write to disjoint result slots and commit in a fixed order afterwards).
 //
 // Tasks must not throw. ParallelFor may be called concurrently from
-// several external threads (each call tracks its own completion), but a
-// task running *on* the pool must not call back into ParallelFor: with
-// every worker blocked in a nested wait there may be nobody left to run
-// the nested chunks.
+// several external threads (each call tracks its own completion). A task
+// running *on* the pool may call ParallelFor on the same pool: the nested
+// range then runs inline on the calling worker, because with every worker
+// blocked in a nested wait there could be nobody left to run its chunks.
 class ThreadPool {
  public:
   // Spawns `num_threads` workers (at least 1).
@@ -45,6 +45,8 @@ class ThreadPool {
   // Runs body(i) for every i in [begin, end), chunked across the workers;
   // returns when every iteration has finished. `body` is invoked
   // concurrently and must be safe to call from several threads at once.
+  // Called from one of this pool's own workers, it runs the range inline
+  // in ascending order.
   void ParallelFor(size_t begin, size_t end,
                    const std::function<void(size_t)>& body);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <map>
 
@@ -51,6 +52,36 @@ struct QueryMetrics {
       metrics::Registry::Global().histogram(metrics::kQueryCandidatesPerQuery),
   };
   return m;
+}
+
+// Registry handles for Insert/Delete cell maintenance.
+struct MaintenanceMetrics {
+  metrics::Counter* cells_recomputed;
+  metrics::Counter* cells_rewritten;
+};
+
+[[maybe_unused]] const MaintenanceMetrics& MaintMetrics() {
+  static const MaintenanceMetrics m = {
+      metrics::Registry::Global().counter(metrics::kIndexMaintCellsRecomputed),
+      metrics::Registry::Global().counter(metrics::kIndexMaintCellsRewritten),
+  };
+  return m;
+}
+
+// True when both rectangle lists hold the same bit patterns in the same
+// order (so a -0.0/0.0 flip counts as a difference).
+bool SameRectBits(const std::vector<HyperRect>& a,
+                  const std::vector<HyperRect>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t r = 0; r < a.size(); ++r) {
+    const size_t bytes = a[r].dim() * sizeof(double);
+    if (a[r].dim() != b[r].dim() ||
+        std::memcmp(a[r].lo().data(), b[r].lo().data(), bytes) != 0 ||
+        std::memcmp(a[r].hi().data(), b[r].hi().data(), bytes) != 0) {
+      return false;
+    }
+  }
+  return true;
 }
 
 // Registry handles for the approximate query tier.
@@ -126,11 +157,17 @@ void NNCellIndex::SetNumThreads(size_t num_threads) {
   options_.parallel.num_threads = num_threads;
   size_t resolved = options_.parallel.Resolve();
   if (resolved <= 1) {
-    thread_pool_.reset();
-  } else if (thread_pool_ == nullptr ||
-             thread_pool_->num_threads() != resolved) {
-    thread_pool_ = std::make_unique<ThreadPool>(resolved);
+    own_pool_.reset();
+  } else if (own_pool_ == nullptr || own_pool_->num_threads() != resolved) {
+    own_pool_ = std::make_unique<ThreadPool>(resolved);
   }
+  thread_pool_ = own_pool_.get();
+}
+
+void NNCellIndex::UseThreadPool(ThreadPool* pool) {
+  own_pool_.reset();
+  thread_pool_ = pool;
+  options_.parallel.num_threads = pool != nullptr ? pool->num_threads() : 1;
 }
 
 NNCellIndex::~NNCellIndex() = default;
@@ -155,9 +192,8 @@ std::vector<const double*> NNCellIndex::SelectCandidates(const double* point,
       // "All points of which the rectangle in the index contains the
       // point": every point stored on a leaf page of the point index whose
       // page region contains `point`.
-      auto matches = point_tree_->LeafPageQuery(point);
-      for (const auto& m : matches) {
-        if (m.id != self) candidates.push_back(points_[m.id]);
+      for (uint64_t id : point_tree_->LeafPageQuery(point)) {
+        if (id != self) candidates.push_back(points_[id]);
       }
       break;
     }
@@ -168,15 +204,14 @@ std::vector<const double*> NNCellIndex::SelectCandidates(const double* point,
       // the sphere, which caps the LP constraint count at the expected
       // ~2^d near neighbors instead of everything sharing a page region.
       double r = SphereRadius();
-      auto matches = point_tree_->LeafPageSphereQuery(point, r);
       const double r_sq = r * r;
-      for (const auto& m : matches) {
-        if (m.id == self) continue;
+      for (uint64_t id : point_tree_->LeafPageSphereQuery(point, r)) {
+        if (id == self) continue;
         if (options_.sphere_point_filter &&
-            L2DistSq(points_[m.id], point, dim_) > r_sq) {
+            L2DistSq(points_[id], point, dim_) > r_sq) {
           continue;
         }
-        candidates.push_back(points_[m.id]);
+        candidates.push_back(points_[id]);
       }
       break;
     }
@@ -340,10 +375,7 @@ StatusOr<uint64_t> NNCellIndex::Insert(const std::vector<double>& original) {
   cell_rects_[id] = std::move(rects);
 
   // 3. Maintenance: shrink the affected approximations.
-  for (uint64_t aff : affected) {
-    RecomputeCell(aff);
-    ++build_stats_.cells_recomputed;
-  }
+  RecomputeCells(affected);
   return id;
 }
 
@@ -386,10 +418,7 @@ Status NNCellIndex::Delete(uint64_t id) {
   --live_count_;
   ++build_stats_.deletions;
 
-  for (uint64_t aff : affected) {
-    RecomputeCell(aff);
-    ++build_stats_.cells_recomputed;
-  }
+  RecomputeCells(affected);
   return Status::OK();
 }
 
@@ -432,38 +461,35 @@ Status NNCellIndex::BulkBuild(const PointSet& pts) {
   // workers as concurrent readers. Results are committed to the cell tree
   // on this thread in ascending point order, so the on-disk index is
   // byte-identical to a serial build regardless of the thread count.
-  if (thread_pool_ != nullptr && ids.size() > 1) {
-    std::vector<std::vector<HyperRect>> computed(ids.size());
-    std::vector<ApproxStats> worker_stats(ids.size());
-    thread_pool_->ParallelFor(0, ids.size(), [&](size_t i) {
-      computed[i] =
-          ComputeCellRects(points_[ids[i]], ids[i], &worker_stats[i]);
-    });
-    for (const ApproxStats& s : worker_stats) build_stats_.approx += s;
-    for (size_t i = 0; i < ids.size(); ++i) {
-      const uint64_t id = ids[i];
-      for (const HyperRect& rect : computed[i]) {
-        tree_->Insert(rect, id, points_[id]);
-        ++build_stats_.entries_inserted;
-      }
-      cell_rects_[id] = std::move(computed[i]);
-    }
-    // Durable mode: the bulk load becomes durable via one checkpoint
-    // instead of one WAL record per point.
-    if (wal_ != nullptr) return Checkpoint();
-    return Status::OK();
-  }
-  for (uint64_t id : ids) {
-    std::vector<HyperRect> rects =
-        ComputeCellRects(points_[id], id, &build_stats_.approx);
-    for (const HyperRect& rect : rects) {
+  std::vector<std::vector<HyperRect>> computed = ComputeCells(ids);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const uint64_t id = ids[i];
+    for (const HyperRect& rect : computed[i]) {
       tree_->Insert(rect, id, points_[id]);
       ++build_stats_.entries_inserted;
     }
-    cell_rects_[id] = std::move(rects);
+    cell_rects_[id] = std::move(computed[i]);
   }
+  // Durable mode: the bulk load becomes durable via one checkpoint
+  // instead of one WAL record per point.
   if (wal_ != nullptr) return Checkpoint();
   return Status::OK();
+}
+
+std::vector<std::vector<HyperRect>> NNCellIndex::ComputeCells(
+    const std::vector<uint64_t>& ids) {
+  std::vector<std::vector<HyperRect>> rects(ids.size());
+  std::vector<ApproxStats> stats(ids.size());
+  auto compute = [&](size_t i) {
+    rects[i] = ComputeCellRects(points_[ids[i]], ids[i], &stats[i]);
+  };
+  if (thread_pool_ != nullptr && ids.size() > 1) {
+    thread_pool_->ParallelFor(0, ids.size(), compute);
+  } else {
+    for (size_t i = 0; i < ids.size(); ++i) compute(i);
+  }
+  for (const ApproxStats& s : stats) build_stats_.approx += s;
+  return rects;
 }
 
 bool NNCellIndex::CellAffectedBy(uint64_t id, const double* p) const {
@@ -486,18 +512,30 @@ bool NNCellIndex::CellAffectedBy(uint64_t id, const double* p) const {
   return false;
 }
 
-void NNCellIndex::RecomputeCell(uint64_t id) {
-  for (const HyperRect& rect : cell_rects_[id]) {
-    bool removed = tree_->Delete(rect, id);
-    NNCELL_CHECK_MSG(removed, "indexed cell rectangle missing");
+void NNCellIndex::RecomputeCells(const std::vector<uint64_t>& ids) {
+  std::vector<std::vector<HyperRect>> computed = ComputeCells(ids);
+  size_t rewritten = 0;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const uint64_t id = ids[i];
+    // Most recomputes give back the old rectangles; the tree already
+    // holds exactly those bytes.
+    if (SameRectBits(computed[i], cell_rects_[id])) continue;
+    for (const HyperRect& rect : cell_rects_[id]) {
+      bool removed = tree_->Delete(rect, id);
+      NNCELL_CHECK_MSG(removed, "indexed cell rectangle missing");
+    }
+    for (const HyperRect& rect : computed[i]) {
+      tree_->Insert(rect, id, points_[id]);
+      ++build_stats_.entries_inserted;
+    }
+    // Copied, not moved: the copy is allocated on this thread, so no
+    // long-lived rectangle pins memory in a worker's malloc arena.
+    cell_rects_[id] = computed[i];
+    ++rewritten;
   }
-  std::vector<HyperRect> rects =
-      ComputeCellRects(points_[id], id, &build_stats_.approx);
-  for (const HyperRect& rect : rects) {
-    tree_->Insert(rect, id, points_[id]);
-    ++build_stats_.entries_inserted;
-  }
-  cell_rects_[id] = std::move(rects);
+  build_stats_.cells_recomputed += ids.size();
+  NNCELL_METRIC_COUNT(MaintMetrics().cells_recomputed, ids.size());
+  NNCELL_METRIC_COUNT(MaintMetrics().cells_rewritten, rewritten);
 }
 
 StatusOr<NNCellIndex::QueryResult> NNCellIndex::Query(
@@ -652,7 +690,7 @@ StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::QueryBatch(
   // and identical to a serial loop of Query() calls.
   std::vector<QueryResult> results(queries.size());
   NNCELL_RETURN_IF_ERROR(
-      FanOut(thread_pool_.get(), queries.size(), [&](size_t i) {
+      FanOut(thread_pool_, queries.size(), [&](size_t i) {
         StatusOr<QueryResult> r = Query(queries[i], approx);
         if (!r.ok()) return r.status();
         results[i] = std::move(*r);

@@ -43,8 +43,9 @@ enum class MaintenanceMode {
 // Voronoi constructions make the same observation), and batched queries
 // fan out across concurrent readers of the shared buffer pool.
 struct ParallelOptions {
-  // Threads used for BulkBuild LP fan-out and QueryBatch. 1 = serial
-  // (no pool is created); 0 = one thread per hardware core.
+  // Threads used for BulkBuild LP fan-out, QueryBatch and the cell
+  // recomputes of Insert/Delete. 1 = serial (no pool is created); 0 = one
+  // thread per hardware core.
   size_t num_threads = 1;
 
   size_t Resolve() const {
@@ -90,9 +91,9 @@ struct NNCellOptions {
   // the persisted image.
   CellApproxOptions approx;
 
-  // Threading for BulkBuild / QueryBatch. Purely a runtime knob: the
-  // built index is byte-identical for every thread count, so it is not
-  // part of the persisted image.
+  // Threading for BulkBuild / QueryBatch / maintenance. Purely a runtime
+  // knob: the index is byte-identical for every thread count, so it is
+  // not part of the persisted image.
   ParallelOptions parallel;
 
   // Options forwarded to the underlying tree (dim / aux are overwritten).
@@ -194,6 +195,12 @@ class NNCellIndex final : public SearchIndex {
   // Load, which restores with the serial default). Not thread-safe: call
   // only while no other thread uses the index.
   void SetNumThreads(size_t num_threads) override;
+
+  // Runs the parallel phases on `pool` instead of a pool of this index's
+  // own (nullptr = serial). The caller owns `pool` and keeps it alive
+  // while the index uses it; the sharded index lends its router pool to
+  // every shard this way. Same thread-safety as SetNumThreads.
+  void UseThreadPool(ThreadPool* pool);
 
   // Exact k-nearest-neighbor search -- the extension the paper names as
   // future work. Every point within distance r of q has a cell
@@ -326,8 +333,19 @@ class NNCellIndex final : public SearchIndex {
   std::vector<HyperRect> ComputeCellRects(const double* owner, uint64_t self,
                                           ApproxStats* stats) const;
 
-  // Replaces the indexed rectangles of `id` with freshly computed ones.
-  void RecomputeCell(uint64_t id);
+  // Computes the cells of `ids` (registered points) into one slot each,
+  // fanned out on the thread pool when there is one, and adds their LP
+  // effort to build_stats_ in `ids` order. Reads only the point table and
+  // the point tree, which the callers keep frozen meanwhile.
+  std::vector<std::vector<HyperRect>> ComputeCells(
+      const std::vector<uint64_t>& ids);
+
+  // Dynamic maintenance of Insert and Delete: recomputes the cells of
+  // `ids` (live, ascending) with ComputeCells and commits the results
+  // serially in `ids` order, so the index is the same for every thread
+  // count. Only cells whose rectangles changed (bit-for-bit) are deleted
+  // from and reinserted into the cell tree; cells_recomputed counts all.
+  void RecomputeCells(const std::vector<uint64_t>& ids);
 
   // True when the cell of `id` can shrink due to the new point `p`.
   bool CellAffectedBy(uint64_t id, const double* p) const;
@@ -387,9 +405,10 @@ class NNCellIndex final : public SearchIndex {
 
   std::unique_ptr<RTreeCore> tree_;  // indexes the cell approximations
 
-  // Workers for BulkBuild fan-out and QueryBatch; nullptr when the
-  // resolved thread count is 1 (serial).
-  std::unique_ptr<ThreadPool> thread_pool_;
+  // Workers for BulkBuild fan-out, QueryBatch and maintenance; nullptr
+  // when serial. Points at own_pool_ or at a pool lent by UseThreadPool.
+  ThreadPool* thread_pool_ = nullptr;
+  std::unique_ptr<ThreadPool> own_pool_;
 
   // Build-time point index: the paper's Point/Sphere strategies select
   // candidates by page rectangles of an index over the data points.

@@ -369,23 +369,22 @@ void RTreeCore::CollectMatches(PageId pid, const HyperRect& range,
   }
 }
 
-std::vector<RTreeCore::Match> RTreeCore::LeafPageQuery(const double* q) const {
-  std::vector<Match> out;
+std::vector<uint64_t> RTreeCore::LeafPageQuery(const double* q) const {
+  std::vector<uint64_t> out;
   CollectLeafPages(root_, q, 0.0, &out);
   return out;
 }
 
-std::vector<RTreeCore::Match> RTreeCore::LeafPageSphereQuery(
-    const double* q, double radius) const {
-  std::vector<Match> out;
+std::vector<uint64_t> RTreeCore::LeafPageSphereQuery(const double* q,
+                                                     double radius) const {
+  std::vector<uint64_t> out;
   CollectLeafPages(root_, q, radius * radius, &out);
   return out;
 }
 
 void RTreeCore::CollectLeafPages(PageId pid, const double* q, double radius_sq,
-                                 std::vector<Match>* out) const {
+                                 std::vector<uint64_t>* out) const {
   const size_t d = options_.dim;
-  const size_t aux = options_.aux_per_entry;
   std::vector<PageId> stack = {pid};
   while (!stack.empty()) {
     PageId cur = stack.back();
@@ -400,12 +399,7 @@ void RTreeCore::CollectLeafPages(PageId pid, const double* q, double radius_sq,
           root_mbr.ExpandToPoint(e.hi);
         }
         // The parent region qualified: take everything on this page.
-        Match m;
-        m.rect = HyperRect(std::vector<double>(e.lo, e.lo + d),
-                           std::vector<double>(e.hi, e.hi + d));
-        m.id = e.id;
-        if (e.aux != nullptr) m.aux.assign(e.aux, e.aux + aux);
-        out->push_back(std::move(m));
+        out->push_back(e.id);
       } else if (RawMinDistSq(e.lo, e.hi, q, d) <= radius_sq) {
         stack.push_back(static_cast<PageId>(e.id));
       }

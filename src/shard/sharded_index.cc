@@ -66,8 +66,9 @@ double UnitUniform(uint64_t* state) {
 ShardedIndex::ShardedIndex(NNCellOptions options, ShardedOptions sopts,
                            std::string dir)
     : options_(std::move(options)), sopts_(sopts), dir_(std::move(dir)) {
-  // Shards run serial internally; this layer owns the cross-shard /
-  // cross-query parallelism.
+  // Shards never build a pool of their own: they open serial, then
+  // borrow the router's (UseThreadPool), so batches, shard fan-outs and
+  // shard maintenance share one set of threads.
   options_.parallel.num_threads = 1;
   auto& reg = metrics::Registry::Global();
   m_count_ = reg.gauge(metrics::kShardCount);
@@ -95,6 +96,7 @@ Status ShardedIndex::MakeMemoryShard(Shard* s) const {
   s->pool = std::make_unique<BufferPool>(s->file.get(), kMemoryShardPoolPages);
   s->index =
       std::make_unique<NNCellIndex>(s->pool.get(), manifest_.dim, options_);
+  s->index->UseThreadPool(thread_pool_.get());
   s->status = Status::OK();
   return Status::OK();
 }
@@ -110,6 +112,7 @@ Status ShardedIndex::OpenDurableShard(size_t i, Shard* s,
     return idx.status();
   }
   s->index = std::move(*idx);
+  s->index->UseThreadPool(thread_pool_.get());
   s->status = Status::OK();
   return Status::OK();
 }
@@ -136,6 +139,7 @@ StatusOr<std::unique_ptr<ShardedIndex>> ShardedIndex::Create(
     idx->manifest_.cuts.push_back(hi * static_cast<double>(j) /
                                   static_cast<double>(sopts.num_shards));
   }
+  idx->SetNumThreads(ThreadPool::DefaultThreads());
   idx->shards_.resize(sopts.num_shards);
   for (Shard& s : idx->shards_) {
     NNCELL_RETURN_IF_ERROR(idx->MakeMemoryShard(&s));
@@ -144,7 +148,6 @@ StatusOr<std::unique_ptr<ShardedIndex>> ShardedIndex::Create(
   for (auto& p : idx->probe_counts_) {
     p = std::make_unique<std::atomic<uint64_t>>(0);
   }
-  idx->SetNumThreads(ThreadPool::DefaultThreads());
   if (metrics::Registry::Enabled()) {
     idx->m_count_->Set(static_cast<int64_t>(sopts.num_shards));
   }
@@ -220,7 +223,9 @@ StatusOr<std::unique_ptr<ShardedIndex>> ShardedIndex::Open(
     return m.status();
   }
 
-  // Open every shard; a failure degrades that shard, not the index.
+  // Open every shard; a failure degrades that shard, not the index. The
+  // shards replay their WAL tails on the router's pool.
+  idx->SetNumThreads(ThreadPool::DefaultThreads());
   idx->shards_.resize(idx->manifest_.shard_count);
   ri->shards.resize(idx->manifest_.shard_count);
   for (size_t i = 0; i < idx->shards_.size(); ++i) {
@@ -239,7 +244,6 @@ StatusOr<std::unique_ptr<ShardedIndex>> ShardedIndex::Open(
   for (auto& p : idx->probe_counts_) {
     p = std::make_unique<std::atomic<uint64_t>>(0);
   }
-  idx->SetNumThreads(ThreadPool::DefaultThreads());
   if (metrics::Registry::Enabled()) {
     idx->m_count_->Set(static_cast<int64_t>(idx->manifest_.shard_count));
     idx->m_epoch_->Set(static_cast<int64_t>(idx->manifest_.epoch));
@@ -1152,11 +1156,12 @@ Status ShardedIndex::CheckInvariants(size_t sample_queries,
 void ShardedIndex::SetNumThreads(size_t num_threads) {
   const size_t resolved =
       num_threads == 0 ? ThreadPool::DefaultThreads() : num_threads;
-  if (resolved <= 1) {
-    thread_pool_.reset();
-  } else {
-    thread_pool_ = std::make_unique<ThreadPool>(resolved);
+  std::unique_ptr<ThreadPool> next;
+  if (resolved > 1) next = std::make_unique<ThreadPool>(resolved);
+  for (Shard& s : shards_) {
+    if (s.index != nullptr) s.index->UseThreadPool(next.get());
   }
+  thread_pool_ = std::move(next);
 }
 
 }  // namespace nncell

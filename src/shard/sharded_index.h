@@ -246,7 +246,7 @@ class ShardedIndex final : public SearchIndex {
   Status WriteRouterStateLocked(const std::string& path,
                                 uint64_t covered_lsn) const;
 
-  NNCellOptions options_;       // shards run with parallel.num_threads = 1
+  NNCellOptions options_;       // parallel.num_threads = 1: see the ctor
   ShardedOptions sopts_;
   const std::string dir_;       // empty: in-memory
   NNCellIndex::DurableOptions dopts_;
@@ -260,7 +260,11 @@ class ShardedIndex final : public SearchIndex {
   // directly: the annotated Mutex wrapper is exclusive-only.
   mutable std::shared_mutex epoch_mu_;
 
-  // Fan-out across queries of a batch; shards themselves run serial.
+  // Fan-out across queries of a batch and across shards (BulkBuild,
+  // Checkpoint, rebalance); lent to every shard for its maintenance.
+  // Insert/Delete hold the epoch lock exclusively, so no batch competes
+  // with a shard's recomputes for it. A shard task already running on it
+  // (a BulkBuild fan-out) runs its own ParallelFor inline.
   std::unique_ptr<ThreadPool> thread_pool_;
 
   // Per-shard probe counts for Stats(); incremented under the shared

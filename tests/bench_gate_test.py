@@ -160,6 +160,15 @@ class ServeGate(MutationTest):
         load["results"]["errors"] = 3
         self.assertTrips("load: errors")
 
+    def test_det_config_change_fails(self):
+        det(self.cur)["config"]["shards"] = 2
+        self.assertTrips("det: config")
+
+    def test_load_config_change_fails(self):
+        load = next(s for s in self.cur["scenarios"] if s["label"] == "load")
+        load["config"]["ops"] += 1
+        self.assertTrips("load: config")
+
     def test_quick_run_without_load_passes(self):
         self.cur["scenarios"] = [det(self.cur)]
         self.assertEqual(gate(self.suite, self.base, self.cur), [])

@@ -1,11 +1,14 @@
 // Concurrency suite: the thread pool itself, the determinism contract of
-// the parallel build (serial and 8-thread builds must produce the same
-// bytes), and reader-parallel query traffic over a shared buffer pool.
+// the parallel build and of parallel cell maintenance (serial and
+// multi-threaded runs must produce the same bytes), and reader-parallel
+// query traffic over a shared buffer pool.
 // Run under the `tsan` preset this is the data-race detector's workload;
 // under the plain presets it is a functional regression test.
 
 #include <atomic>
 #include <barrier>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -17,6 +20,7 @@
 #include "common/thread_pool.h"
 #include "data/generators.h"
 #include "nncell/nncell_index.h"
+#include "shard/sharded_index.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_file.h"
 
@@ -94,6 +98,25 @@ TEST(ThreadPoolTest, ParallelForFromConcurrentExternalThreads) {
     });
   }
   for (auto& t : callers) t.join();
+}
+
+TEST(ThreadPoolTest, NestedParallelForRunsInline) {
+  // A task running on the pool may call ParallelFor on the same pool: the
+  // nested range runs inline on the calling worker instead of waiting for
+  // workers that are all busy in the outer call.
+  ThreadPool pool(4);
+  constexpr size_t kOuter = 16;
+  constexpr size_t kInner = 500;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  for (auto& h : hits) h.store(0);
+  pool.ParallelFor(0, kOuter, [&](size_t o) {
+    pool.ParallelFor(0, kInner, [&](size_t i) {
+      hits[o * kInner + i].fetch_add(1, std::memory_order_relaxed);
+    });
+  });
+  for (size_t i = 0; i < hits.size(); ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -363,6 +386,183 @@ TEST(ConcurrencyTest, SupernodeReadersInHighDimensions) {
   EXPECT_EQ(mismatches.load(), 0);
   Status audit = s.pool->AuditPins();
   EXPECT_TRUE(audit.ok()) << audit.ToString();
+}
+
+// ---------------------------------------------------------------------------
+// Maintenance determinism: Insert and Delete recompute the affected cells
+// on the thread pool and commit them serially in id order, rewriting only
+// the cells whose rectangles changed. The image must not depend on the
+// thread count, and the rectangles and LP effort must equal those of the
+// one-cell-at-a-time maintenance this replaced.
+
+struct MaintenanceVariant {
+  const char* name;
+  ApproxAlgorithm algorithm;
+  size_t max_partitions;
+};
+
+struct MaintenanceOutcome {
+  std::string image;        // Save() bytes
+  uint64_t rect_hash = 0;   // FNV-1a over every live cell's rectangles
+  size_t lp_iterations = 0;
+  size_t cells_recomputed = 0;
+  size_t entries_written = 0;  // tree entries inserted by the sequence
+};
+
+NNCellOptions MaintenanceOptions(const MaintenanceVariant& v,
+                                 size_t num_threads) {
+  NNCellOptions options;
+  options.algorithm = v.algorithm;
+  options.decomposition.max_partitions = v.max_partitions;
+  options.parallel.num_threads = num_threads;
+  return options;
+}
+
+// The fixed sequence: 12 inserts, with a delete of a bulk-built point
+// after every second one. Calls `insert(point)` / `del(id)`.
+template <typename InsertFn, typename DeleteFn>
+void RunMaintenanceSequence(const PointSet& extra, InsertFn insert,
+                            DeleteFn del) {
+  for (size_t i = 0; i < extra.size(); ++i) {
+    insert(extra.Get(i));
+    if (i % 2 == 1) del(static_cast<uint64_t>((i * 37) % 300));
+  }
+}
+
+uint64_t HashCellRects(const NNCellIndex& index) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](const void* data, size_t n) {
+    const auto* b = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (uint64_t id = 0; id < index.points().size(); ++id) {
+    if (!index.IsAlive(id)) continue;
+    const std::vector<HyperRect>& rects = index.CellRects(id);
+    const uint64_t count = rects.size();
+    mix(&id, sizeof(id));
+    mix(&count, sizeof(count));
+    for (const HyperRect& r : rects) {
+      mix(r.lo().data(), r.lo().size() * sizeof(double));
+      mix(r.hi().data(), r.hi().size() * sizeof(double));
+    }
+  }
+  return h;
+}
+
+MaintenanceOutcome RunMaintenance(const MaintenanceVariant& v,
+                                  size_t num_threads) {
+  PointSet pts = GenerateUniform(300, 4, 17);
+  PointSet extra = GenerateUniform(12, 4, 18);
+  PageFile file(2048);
+  BufferPool pool(&file, 512);
+  NNCellIndex index(&pool, 4, MaintenanceOptions(v, num_threads));
+  Status built = index.BulkBuild(pts);
+  EXPECT_TRUE(built.ok()) << built.ToString();
+  const size_t entries_before = index.build_stats().entries_inserted;
+  RunMaintenanceSequence(
+      extra,
+      [&](const std::vector<double>& p) {
+        EXPECT_TRUE(index.Insert(p).ok());
+      },
+      [&](uint64_t id) { EXPECT_TRUE(index.Delete(id).ok()); });
+  Status inv = index.CheckInvariants(50);
+  EXPECT_TRUE(inv.ok()) << inv.ToString();
+
+  MaintenanceOutcome out;
+  std::ostringstream image;
+  Status saved = index.Save(image);
+  EXPECT_TRUE(saved.ok()) << saved.ToString();
+  out.image = image.str();
+  out.rect_hash = HashCellRects(index);
+  out.lp_iterations = index.build_stats().approx.lp_iterations;
+  out.cells_recomputed = index.build_stats().cells_recomputed;
+  out.entries_written = index.build_stats().entries_inserted - entries_before;
+  return out;
+}
+
+struct PinnedMaintenance {
+  MaintenanceVariant variant;
+  uint64_t rect_hash;
+  size_t lp_iterations;
+  size_t cells_recomputed;
+};
+
+// Pinned by running this sequence on the one-cell-at-a-time maintenance
+// (delete, recompute and reinsert every affected cell serially) that the
+// batch step replaced, before the change: the affected sets, the
+// rectangles and the LP effort must not move.
+const PinnedMaintenance kPinnedMaintenance[] = {
+    {{"Sphere", ApproxAlgorithm::kSphere, 1}, 0xac8595f98c9d1eacULL, 65003,
+     1790},
+    {{"Correct", ApproxAlgorithm::kCorrect, 1}, 0x20028fb8e72a02a6ULL, 63810,
+     1738},
+    {{"SphereDecomposed", ApproxAlgorithm::kSphere, 4}, 0xdecd7f2ca5128f30ULL,
+     590360, 1369},
+};
+
+TEST(MaintenanceDeterminismTest, ParallelMatchesSerialAndPinnedValues) {
+  for (const PinnedMaintenance& pin : kPinnedMaintenance) {
+    SCOPED_TRACE(pin.variant.name);
+    const MaintenanceOutcome serial = RunMaintenance(pin.variant, 1);
+    const MaintenanceOutcome parallel = RunMaintenance(pin.variant, 4);
+    EXPECT_EQ(serial.image, parallel.image);
+    EXPECT_EQ(serial.entries_written, parallel.entries_written);
+    for (const MaintenanceOutcome* out : {&serial, &parallel}) {
+      EXPECT_EQ(out->rect_hash, pin.rect_hash) << std::hex << out->rect_hash;
+      EXPECT_EQ(out->lp_iterations, pin.lp_iterations);
+      EXPECT_EQ(out->cells_recomputed, pin.cells_recomputed);
+    }
+    // Most recomputes give back the old rectangles, and those cells are
+    // not rewritten. Rewriting every recomputed cell (max_partitions
+    // entries each in this sequence) wrote more entries than this bound,
+    // new cells included; skipping the unchanged ones writes fewer.
+    EXPECT_LT(parallel.entries_written,
+              parallel.cells_recomputed * pin.variant.max_partitions);
+  }
+}
+
+TEST(MaintenanceDeterminismTest, ShardedWritesAreThreadCountInvariant) {
+  // Shards run their maintenance on the router's pool; the answers and
+  // candidate counts must not depend on its size.
+  PointSet pts = GenerateUniform(300, 4, 17);
+  PointSet extra = GenerateUniform(12, 4, 18);
+  PointSet queries = GenerateQueries(64, 4, 19);
+  const MaintenanceVariant v = kPinnedMaintenance[0].variant;
+  std::vector<std::vector<NNCellIndex::QueryResult>> answers;
+  for (size_t threads : {4u, 1u}) {
+    SCOPED_TRACE(threads);
+    ShardedOptions sopts;
+    sopts.num_shards = 2;
+    auto sharded = ShardedIndex::Create(4, MaintenanceOptions(v, 1), sopts);
+    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+    ShardedIndex& index = **sharded;
+    index.SetNumThreads(threads);
+    ASSERT_TRUE(index.BulkBuild(pts).ok());
+    RunMaintenanceSequence(
+        extra,
+        [&](const std::vector<double>& p) {
+          EXPECT_TRUE(index.Insert(p).ok());
+        },
+        [&](uint64_t id) { EXPECT_TRUE(index.Delete(id).ok()); });
+    Status inv = index.CheckInvariants(50);
+    EXPECT_TRUE(inv.ok()) << inv.ToString();
+    std::vector<NNCellIndex::QueryResult> got;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      auto r = index.Query(queries[i]);
+      ASSERT_TRUE(r.ok());
+      got.push_back(std::move(*r));
+    }
+    answers.push_back(std::move(got));
+  }
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(answers[0][i].id, answers[1][i].id) << "query " << i;
+    EXPECT_EQ(answers[0][i].dist, answers[1][i].dist) << "query " << i;
+    EXPECT_EQ(answers[0][i].candidates, answers[1][i].candidates)
+        << "query " << i;
+  }
 }
 
 TEST(ConcurrencyTest, ShardedPoolKeepsCapacityBudget) {

@@ -209,6 +209,13 @@ def scenarios(doc):
 def gate_serve(baseline, current):
     ref, cur = scenarios(baseline), scenarios(current)
     failures = []
+    # A scenario is only comparable with the baseline run of the same
+    # loadgen configuration (every field loadgen prints, shards included).
+    for label, scen in sorted(cur.items()):
+        want = ref.get(label, {}).get("config")
+        if scen.get("config") != want:
+            failures.append(f"{label}: config {scen.get('config')} differs "
+                            f"from the baseline's {want}")
     det = cur.get("det")
     if det is None:
         failures.append("det scenario missing from current run")
